@@ -8,6 +8,7 @@ witness).
 """
 
 import pytest
+from bench_util import time_on_fresh_graphs
 
 from repro.core import RDFGraph, Triple, URI
 from repro.core.vocabulary import TYPE
@@ -36,13 +37,12 @@ def conclusion(graph):
 def test_rdfs_entailment(benchmark, spec):
     g = ontology(spec)
     h = conclusion(g)
-    benchmark(entails, g, h)
+    time_on_fresh_graphs(benchmark, entails, g, h)
 
 
 @pytest.mark.parametrize("spec", SIZES, ids=[f"G{i}" for i in range(len(SIZES))])
 def test_closure_fast(benchmark, spec):
-    g = ontology(spec)
-    benchmark(closure, g)
+    time_on_fresh_graphs(benchmark, closure, ontology(spec))
 
 
 @pytest.mark.parametrize("spec", SIZES[:2], ids=["G0", "G1"])
@@ -73,8 +73,9 @@ def collect_series():
         t0 = time.perf_counter()
         verdict = entails(g, h)
         t_ent = (time.perf_counter() - t0) * 1e3
+        fresh = RDFGraph(g.triples)  # entails() above memoized cl(g)
         t0 = time.perf_counter()
-        cl = closure(g)
+        cl = closure(fresh)
         t_cl = (time.perf_counter() - t0) * 1e3
         rows.append((len(g), len(cl), verdict, t_ent, t_cl))
     return rows

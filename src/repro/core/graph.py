@@ -15,6 +15,7 @@ the whole vocabulary of Section 2.1:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from .interning import EncodedGraph, SKOLEM_PREFIX, TermDict
@@ -70,6 +71,7 @@ class RDFGraph:
         "_bnodes",
         "_hash",
         "_encoded",
+        "_closure",
         "_lazy_from",
     )
 
@@ -91,6 +93,11 @@ class RDFGraph:
         self._by_so: Optional[Dict[Tuple[Term, Term], Set[Triple]]] = None
         #: Lazily built dictionary-encoded view (see :meth:`encoded`).
         self._encoded: Optional[EncodedGraph] = None
+        #: Memoized ``cl(G)`` (see :meth:`_adopt_closure`).
+        self._closure: Optional[RDFGraph] = None
+        #: Built on first use (see :meth:`_build_terms`).
+        self._universe: Optional[FrozenSet[Term]] = None
+        self._bnodes: Optional[FrozenSet[BNode]] = None
         #: Identity of the row set every derived cache was built from.
         #: Instances are immutable by contract, but if ``_triples`` is
         #: ever rebound in place, accessors notice the mismatch and
@@ -120,6 +127,7 @@ class RDFGraph:
         g._by_object = None
         g._by_so = None
         g._encoded = None
+        g._closure = None
         g._universe = None
         g._bnodes = None
         g._hash = None
@@ -144,6 +152,7 @@ class RDFGraph:
             self._by_object = None
             self._by_so = None
             self._encoded = None
+            self._closure = None
             self._universe = None
             self._bnodes = None
             self._hash = None
@@ -154,23 +163,28 @@ class RDFGraph:
         by_predicate: Dict[Term, Set[Triple]] = {}
         by_sp: Dict[Tuple[Term, Term], Set[Triple]] = {}
         by_po: Dict[Tuple[Term, Term], Set[Triple]] = {}
-        universe: Set[Term] = set()
-        bnodes: Set[BNode] = set()
         for t in self._triples:
             by_subject.setdefault(t.s, set()).add(t)
             by_predicate.setdefault(t.p, set()).add(t)
             by_sp.setdefault((t.s, t.p), set()).add(t)
             by_po.setdefault((t.p, t.o), set()).add(t)
-            for term in t:
-                universe.add(term)
-                if isinstance(term, BNode):
-                    bnodes.add(term)
         self._by_subject = by_subject
         self._by_predicate = by_predicate
         self._by_sp = by_sp
         self._by_po = by_po
-        self._universe = frozenset(universe)
-        self._bnodes = frozenset(bnodes)
+
+    def _build_terms(self) -> None:
+        """``universe``/``bnodes`` in one pass, without building indexes.
+
+        The planner reads a graph only through :meth:`encoded`, which
+        needs the universe but none of the term-level indexes, so a
+        lazily built graph (every arrays-kernel closure) must not pay
+        for :meth:`_build_core` just to list its terms.
+        """
+        self._invalidate_stale()
+        universe = frozenset(chain.from_iterable(self._triples))
+        self._universe = universe
+        self._bnodes = frozenset(t for t in universe if isinstance(t, BNode))
 
     def _core_indexes(self):
         """The four eager-by-default indexes, built/refreshed on demand."""
@@ -222,6 +236,23 @@ class RDFGraph:
             )
             self._encoded = enc
         return enc
+
+    def _cached_closure(self) -> Optional["RDFGraph"]:
+        """The memoized ``cl(G)``, or None when none has been recorded."""
+        self._invalidate_stale()
+        return self._closure
+
+    def _adopt_closure(self, closed: "RDFGraph") -> None:
+        """Record *closed* as this graph's ``cl(G)``.
+
+        A derived cache like :meth:`encoded`: the graph is immutable, so
+        its closure never changes.  :func:`repro.semantics.closure.closure`
+        records what it computed, and the store's dataset snapshot
+        adopts the closure the store already maintains.  The mutation
+        guard drops it together with every other cache.
+        """
+        self._invalidate_stale()
+        self._closure = closed
 
     # ------------------------------------------------------------------
     # Set-like protocol
@@ -305,7 +336,7 @@ class RDFGraph:
     def universe(self) -> FrozenSet[Term]:
         """``universe(G)``: the elements of ``UB`` occurring in triples."""
         if self._universe is None or self._lazy_from is not self._triples:
-            self._core_indexes()
+            self._build_terms()
         return self._universe
 
     def voc(self) -> FrozenSet[URI]:
@@ -315,7 +346,7 @@ class RDFGraph:
     def bnodes(self) -> FrozenSet[BNode]:
         """The blank nodes occurring in G."""
         if self._bnodes is None or self._lazy_from is not self._triples:
-            self._core_indexes()
+            self._build_terms()
         return self._bnodes
 
     def is_ground(self) -> bool:

@@ -47,6 +47,7 @@ from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.graph import RDFGraph
+from ..core.homomorphism import find_map
 from ..core.interning import BNODE_BASE, LITERAL_BASE, Row, TermDict
 from ..core.terms import BNode, Literal, Term, Triple, URI
 from ..datalog.engine import (
@@ -61,7 +62,6 @@ from ..obs import OBS
 from ..obs.metrics import MetricsRegistry
 from ..query.tableau import Query
 from ..robustness.faultinject import FAULTS
-from ..semantics.entailment import entails as graph_entails
 from .backend import (
     DEFAULT_GRAPH,
     BackendState,
@@ -265,8 +265,18 @@ class TripleStore:
         built, rebuilt lazily at most once after a burst of writes.
         Sources that must keep their blanks apart should be loaded via
         :meth:`load_graph`, which renames on the way in.
+
+        While the decoded closure is current, the snapshot carries it as
+        its memoized ``cl(G)``, so ``semantics.entails(store.dataset(),
+        G)`` costs one map search instead of a re-closure.
         """
-        return self._dataset.snapshot()
+        snapshot = self._dataset.snapshot()
+        closed = self._closure_graph
+        if closed is not None and not (
+            self._pending_adds or self._pending_removes
+        ):
+            snapshot._adopt_closure(closed)
+        return snapshot
 
     def match(
         self,
@@ -910,14 +920,18 @@ class TripleStore:
         return closure_delta(self.dataset(), closed=self.closure())
 
     def entails(self, t: Triple) -> bool:
-        """Does the store's dataset RDFS-entail the (possibly blank) triple?"""
+        """Does the store's dataset RDFS-entail the (possibly blank) triple?
+
+        Theorem 2.8 against the maintained closure: a ground triple is a
+        row lookup, a blank one a map ``{t} → cl(dataset)``.
+        """
         if not isinstance(t, Triple):
             t = Triple(*t)
         if not t.bnodes():
             facts = self._materialized_closure_facts()
             row = self._terms.lookup_triple(t)
             return row is not None and row in facts
-        return graph_entails(self.dataset(), RDFGraph([t]))
+        return find_map(RDFGraph([t]), self.closure()) is not None
 
     def normal_form(self) -> RDFGraph:
         """``nf(dataset)``, cached; the matching target for queries.

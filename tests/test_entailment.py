@@ -14,6 +14,7 @@ from repro.semantics import (
     entails,
     entails_by_model,
     equivalent,
+    rdfs_closure_by_rules,
     simple_entails,
     simple_equivalent,
 )
@@ -156,3 +157,55 @@ class TestFolkloreEncodings:
         assert homomorphically_equivalent_via_rdf(c6, k2)
         c5 = DiGraph.cycle(5)
         assert not homomorphically_equivalent_via_rdf(c5, k2)
+
+
+class TestClosureMemo:
+    """``cl(G)`` is a derived cache of the immutable graph."""
+
+    @staticmethod
+    def _graph():
+        # A fresh object every time: no memo carried over from elsewhere.
+        return RDFGraph(
+            list(art_schema()) + [triple(BNode("X"), "paints", "Guernica")]
+        )
+
+    def test_repeated_closure_is_one_object(self):
+        from repro.semantics.closure import KERNEL_DISPATCH
+
+        g = self._graph()
+        first = closure(g)
+        dispatched = sum(KERNEL_DISPATCH.values())
+        assert closure(g) is first
+        assert sum(KERNEL_DISPATCH.values()) == dispatched  # no kernel ran
+        assert first == rdfs_closure_by_rules(g)
+
+    def test_budget_trip_leaves_no_memo(self):
+        from repro.robustness import Budget, StepBudgetExceeded, guarded
+
+        g = self._graph()
+        with guarded(Budget(max_steps=1)):
+            with pytest.raises(StepBudgetExceeded):
+                closure(g)
+        assert g._cached_closure() is None
+        assert closure(g) == rdfs_closure_by_rules(g)
+
+    @pytest.mark.parametrize("exc", [None, KeyboardInterrupt])
+    def test_round_fault_leaves_no_memo(self, exc):
+        from repro.robustness import FAULTS, InjectedFault
+
+        g = self._graph()
+        exc = exc or InjectedFault
+        FAULTS.arm("closure.round", exc=exc)
+        try:
+            with pytest.raises(exc):
+                closure(g)
+        finally:
+            FAULTS.reset()
+        assert g._cached_closure() is None
+        assert closure(g) == rdfs_closure_by_rules(g)
+
+    def test_mutation_guard_drops_the_memo(self):
+        g = self._graph()
+        closure(g)
+        object.__setattr__(g, "_triples", frozenset([triple("a", SC, "b")]))
+        assert closure(g) == rdfs_closure_by_rules(RDFGraph([triple("a", SC, "b")]))

@@ -1,10 +1,14 @@
 """Unit tests for :mod:`repro.core.graph` (Section 2.1 operations)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BNode, Literal, RDFGraph, Triple, URI, graph_from_triples, triple
 from repro.core.graph import SKOLEM_PREFIX
 from repro.core.vocabulary import SC, SP
+
+from .strategies import rdfs_triples
 
 
 def g(*tuples):
@@ -180,6 +184,36 @@ class TestLazyIndexInvalidation:
         assert graph.count(s=URI("x")) == 1
         assert graph.universe() == {URI("x"), URI("y"), URI("z")}
         assert graph.predicates() == {URI("y")}
+
+
+class TestTrustedConstructionParity:
+    """A lazily built graph answers exactly like an eagerly built one,
+    whichever accessor touches it first."""
+
+    @staticmethod
+    def _probes(graph):
+        return [(t.s, None, None) for t in graph] + [
+            (None, t.p, t.o) for t in graph
+        ] + [(t.s, None, t.o) for t in graph] + [(None, None, None)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(rdfs_triples(), max_size=8),
+        st.sampled_from(["terms-first", "match-first"]),
+    )
+    def test_universe_bnodes_match_agree(self, ts, order):
+        eager = RDFGraph(ts)
+        lazy = RDFGraph._from_trusted(ts)
+        if order == "match-first":
+            for s, p, o in self._probes(eager):
+                assert set(lazy.match(s, p, o)) == set(eager.match(s, p, o))
+        assert lazy.universe() == eager.universe()
+        assert lazy.bnodes() == eager.bnodes()
+        assert lazy.universe() == {x for t in ts for x in t}
+        assert lazy.bnodes() == {x for t in ts for x in t if isinstance(x, BNode)}
+        for s, p, o in self._probes(eager):
+            assert set(lazy.match(s, p, o)) == set(eager.match(s, p, o))
+            assert lazy.count(s, p, o) == eager.count(s, p, o)
 
 
 class TestSkolemization:

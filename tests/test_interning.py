@@ -262,7 +262,7 @@ class TestStoreAgreement:
     def test_store_closure_matches_semantic_closure(self, g):
         store = TripleStore()
         store.add_all(g)
-        assert store.closure() == semantic_closure(store.dataset())
+        assert store.closure() == semantic_closure(RDFGraph(store.dataset().triples))
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -82,7 +82,9 @@ class TestReasoning:
     def test_closure_matches_semantics_module(self):
         store = schema_store()
         store.add(triple("frida", "paints", "portrait"))
-        assert store.closure() == semantic_closure(store.dataset())
+        # Close a fresh copy: the snapshot itself carries the store's
+        # closure, which would make the comparison a tautology.
+        assert store.closure() == semantic_closure(RDFGraph(store.dataset().triples))
 
     def test_incremental_maintenance_correct(self):
         store = schema_store()
@@ -95,7 +97,7 @@ class TestReasoning:
             == baseline["incremental_insert"] + 2
         )
         assert store.stats["recomputed"] == baseline["recomputed"]
-        assert store.closure() == semantic_closure(store.dataset())
+        assert store.closure() == semantic_closure(RDFGraph(store.dataset().triples))
         assert store.entails(triple("frida", TYPE, "person"))
 
     def test_deletion_invalidates(self):
@@ -104,7 +106,7 @@ class TestReasoning:
         assert store.entails(triple("frida", TYPE, "artist"))
         store.remove(triple("painter", SC, "artist"))
         assert not store.entails(triple("frida", TYPE, "artist"))
-        assert store.closure() == semantic_closure(store.dataset())
+        assert store.closure() == semantic_closure(RDFGraph(store.dataset().triples))
 
     def test_blank_data_closure(self):
         store = TripleStore()

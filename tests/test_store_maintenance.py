@@ -9,7 +9,10 @@ counterparts:
   deletions) against ``rdfs_closure`` of the current dataset;
 * the live dataset cache (union snapshot + positional indexes) against
   a model kept as plain per-graph sets;
-* the cached normal form against ``normal_form`` of the dataset.
+* the cached normal form against ``normal_form`` of the dataset;
+* entailment, through the dataset snapshot (which adopts the store's
+  closure) and through ``store.entails``, against Theorem 2.8 over the
+  rule-engine closure of a fresh copy (:class:`EntailmentMachine`).
 
 ``validate_maintenance`` is switched on, so every flush additionally
 cross-checks the incremental fixpoint against a from-scratch Datalog
@@ -20,10 +23,12 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core import RDFGraph
+from repro.core import BNode, RDFGraph, Triple, URI, find_map
+from repro.core.vocabulary import DOM, RANGE, SC, SP, TYPE
 from repro.minimize import normal_form as normal_form_fn
-from repro.semantics import rdfs_closure
+from repro.semantics import closure, entails, rdfs_closure, rdfs_closure_by_rules
 from repro.semantics.closure import closure_delta
 from repro.store import TripleStore
 
@@ -220,3 +225,143 @@ def test_dataset_snapshot_amortized():
     d2 = store.dataset()
     assert d2 is not d1
     assert store.dataset() is d2
+
+
+# ---------------------------------------------------------------------------
+# Entailment against the maintained closure (Theorem 2.8)
+# ---------------------------------------------------------------------------
+
+_X, _Y, _Z = BNode("X"), BNode("Y"), BNode("Z")
+_A, _B, _C, _P = URI("a"), URI("b"), URI("c"), URI("p")
+
+_data_triples = st.builds(
+    Triple,
+    st.sampled_from([_A, _B, _C, _Z]),
+    st.sampled_from([_P, SC, SP, TYPE, DOM, RANGE]),
+    st.sampled_from([_A, _B, _C, _P, _Z]),
+)
+
+#: Ground and blank goals; single-triple ones also go to ``store.entails``.
+_GOALS = [
+    RDFGraph([Triple(_A, TYPE, _C)]),
+    RDFGraph([Triple(_A, SC, _C)]),
+    RDFGraph([Triple(_A, _P, _B)]),
+    RDFGraph([Triple(_X, TYPE, _C)]),
+    RDFGraph([Triple(_A, _P, _X)]),
+    RDFGraph([Triple(_X, SP, _P)]),
+    RDFGraph([Triple(_X, _P, _Y), Triple(_Y, TYPE, _B)]),
+    RDFGraph([Triple(_Z, TYPE, _X), Triple(_X, SC, _C)]),
+]
+
+
+class EntailmentMachine(RuleBasedStateMachine):
+    """Writes, transactions and reads in any order; after every step,
+    ``entails(store.dataset(), G)`` and ``store.entails(t)`` must agree
+    with Theorem 2.8 over the rule-engine closure of a fresh copy of
+    the dataset (no memo involved)."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = TripleStore()
+        self.store.validate_maintenance = True
+        self.model = {"default": set()}
+        self.backup = None
+
+    @rule(t=_data_triples, graph=st.sampled_from(_GRAPHS))
+    def add(self, t, graph):
+        self.store.add(t, graph=graph)
+        self.model.setdefault(graph, set()).add(t)
+
+    @rule(t=_data_triples, graph=st.sampled_from(_GRAPHS))
+    def remove(self, t, graph):
+        self.store.remove(t, graph=graph)
+        self.model.get(graph, set()).discard(t)
+
+    @rule(ts=st.lists(_data_triples, max_size=4), graph=st.sampled_from(_GRAPHS))
+    def add_all(self, ts, graph):
+        self.store.add_all(ts, graph=graph)
+        self.model.setdefault(graph, set()).update(ts)
+
+    @rule()
+    def read_closure(self):
+        # Inside a transaction this flushes the buffered delta.
+        self.store.closure()
+
+    @precondition(lambda self: self.backup is None)
+    @rule()
+    def begin(self):
+        self.store.begin()
+        self.backup = {name: set(ts) for name, ts in self.model.items()}
+
+    @precondition(lambda self: self.backup is not None)
+    @rule()
+    def commit(self):
+        self.store.commit()
+        self.backup = None
+
+    @precondition(lambda self: self.backup is not None)
+    @rule()
+    def rollback(self):
+        self.store.rollback()
+        self.model, self.backup = self.backup, None
+
+    @precondition(lambda self: self.backup is None)
+    @rule(graph=st.sampled_from(_GRAPHS + [None]))
+    def clear(self, graph):
+        self.store.clear(graph)
+        if graph is None:
+            self.model = {"default": set()}
+        else:
+            self.model.pop(graph, None)
+
+    @invariant()
+    def entailment_matches_specification(self):
+        union = RDFGraph(_union(self.model))
+        reference = rdfs_closure_by_rules(union)  # built from the model
+        expected = [find_map(goal, reference) is not None for goal in _GOALS]
+        # Read before any flush this invariant causes, then after.
+        for _ in range(2):
+            snapshot = self.store.dataset()
+            assert snapshot == union
+            adopted = snapshot._cached_closure()
+            if adopted is not None:
+                assert adopted == closure(RDFGraph(snapshot.triples))
+            for goal, verdict in zip(_GOALS, expected):
+                assert entails(snapshot, goal) == verdict
+            for goal, verdict in zip(_GOALS, expected):
+                if len(goal) == 1:
+                    assert self.store.entails(next(iter(goal))) == verdict
+
+
+EntailmentMachine.TestCase.settings = settings(
+    max_examples=50,
+    stateful_step_count=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestEntailmentAgainstMaintainedClosure = EntailmentMachine.TestCase
+
+
+def test_snapshot_adopts_the_maintained_closure():
+    """Reads inside a transaction adopt only after the delta is flushed."""
+    from repro.core import triple
+
+    store = TripleStore()
+    store.add(triple("painter", SC, "artist"))
+    store.add(triple("frida", TYPE, "painter"))
+    closed = store.closure()
+    assert store.dataset()._cached_closure() is closed
+    goal = RDFGraph([Triple(BNode("X"), TYPE, URI("artist"))])
+    assert entails(store.dataset(), goal)
+    store.begin()
+    store.add(triple("diego", TYPE, "painter"))
+    # Buffered, not flushed: the snapshot must not borrow the old closure.
+    assert store.dataset()._cached_closure() is None
+    assert entails(store.dataset(), RDFGraph([triple("diego", TYPE, "artist")]))
+    flushed = store.closure()  # first closure-dependent read flushes
+    assert flushed is not closed
+    assert store.dataset()._cached_closure() is flushed
+    store.rollback()
+    assert not store.entails(triple("diego", TYPE, "artist"))
+    restored = store.closure()
+    assert store.dataset()._cached_closure() is restored
