@@ -7,7 +7,6 @@ between closure and core, and the DP verification procedure
 """
 
 import pytest
-from bench_util import time_on_fresh_graphs
 
 from repro.generators import random_schema_with_instances, sc_chain_with_instance
 from repro.minimize import core, is_normal_form_of, normal_form
@@ -25,7 +24,8 @@ def ontology(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=[f"O{i}" for i in range(len(SPECS))])
 def test_normal_form(benchmark, spec):
-    time_on_fresh_graphs(benchmark, normal_form, ontology(spec))
+    g = ontology(spec)
+    benchmark(normal_form, g)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=[f"O{i}" for i in range(len(SPECS))])
@@ -37,14 +37,14 @@ def test_core_of_closure_split(benchmark, spec):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_normal_form_chains(benchmark, n):
-    time_on_fresh_graphs(benchmark, normal_form, sc_chain_with_instance(n))
+    benchmark(normal_form, sc_chain_with_instance(n))
 
 
 @pytest.mark.parametrize("spec", SPECS[:2], ids=["O0", "O1"])
 def test_nf_verification(benchmark, spec):
     g = ontology(spec)
     candidate = normal_form(g)
-    result = time_on_fresh_graphs(benchmark, is_normal_form_of, candidate, g)
+    result = benchmark(is_normal_form_of, candidate, g)
     assert result is True
 
 

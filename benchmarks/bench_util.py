@@ -25,21 +25,3 @@ def atomic_write_json(path, payload) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
-
-
-def time_on_fresh_graphs(benchmark, fn, *args, rounds: int = 20):
-    """Time ``fn(*args)`` with every graph argument copied per round.
-
-    ``repro.semantics.closure`` memoizes ``cl(G)`` on the graph object,
-    so timing one graph over and over would measure a memo hit after
-    the first round.  The copies are made in pytest-benchmark's untimed
-    setup, so each timed call closes a graph nobody has closed before.
-    """
-    from repro.core import RDFGraph
-
-    def setup():
-        return tuple(
-            RDFGraph(a.triples) if isinstance(a, RDFGraph) else a for a in args
-        ), {}
-
-    return benchmark.pedantic(fn, setup=setup, rounds=rounds)

@@ -93,7 +93,7 @@ class RDFGraph:
         self._by_so: Optional[Dict[Tuple[Term, Term], Set[Triple]]] = None
         #: Lazily built dictionary-encoded view (see :meth:`encoded`).
         self._encoded: Optional[EncodedGraph] = None
-        #: Memoized ``cl(G)`` (see :meth:`_adopt_closure`).
+        #: Adopted ``cl(G)`` (see :meth:`_adopt_closure`).
         self._closure: Optional[RDFGraph] = None
         #: Built on first use (see :meth:`_build_terms`).
         self._universe: Optional[FrozenSet[Term]] = None
@@ -238,18 +238,19 @@ class RDFGraph:
         return enc
 
     def _cached_closure(self) -> Optional["RDFGraph"]:
-        """The memoized ``cl(G)``, or None when none has been recorded."""
+        """The attached ``cl(G)``, or None when none has been adopted."""
         self._invalidate_stale()
         return self._closure
 
     def _adopt_closure(self, closed: "RDFGraph") -> None:
-        """Record *closed* as this graph's ``cl(G)``.
+        """Attach *closed* as this graph's ``cl(G)``.
 
         A derived cache like :meth:`encoded`: the graph is immutable, so
-        its closure never changes.  :func:`repro.semantics.closure.closure`
-        records what it computed, and the store's dataset snapshot
-        adopts the closure the store already maintains.  The mutation
-        guard drops it together with every other cache.
+        its closure never changes.  The store's dataset snapshot adopts
+        the closure the store already maintains, and
+        :func:`repro.semantics.closure.closure` returns it instead of
+        closing again.  The mutation guard drops it together with every
+        other cache.
         """
         self._invalidate_stale()
         self._closure = closed

@@ -1160,25 +1160,19 @@ def closure(graph: RDFGraph) -> RDFGraph:
     graph (= ``RDFS-cl(G)``); otherwise ``cl(G) = (cl(G*))_*``.  By
     Lemma 3.4 the result equals ``RDFS-cl(G)``.
 
-    Memoized on the (immutable) graph: a repeated call returns the same
-    object, and a store's dataset snapshot arrives with the store's
-    maintained closure already attached.  The memo is written only
-    after a successful computation, so a budget trip, an injected fault
-    or an interrupt leaves nothing behind.  The kernel entry points
-    (:func:`rdfs_closure` and the ``rdfs_closure_*`` kernels) stay
-    uncached so dispatch tallies and kernel benchmarks keep measuring
-    kernels.
+    A closure already attached to the graph is returned as is: a
+    store's dataset snapshot arrives with the store's maintained
+    closure (see :meth:`repro.store.TripleStore.dataset`).  Nothing is
+    recorded here, so every other call computes ``cl(G)`` afresh.
     """
     closed = graph._cached_closure()
     if closed is not None:
         return closed
     if graph.is_ground():
-        closed = rdfs_closure(graph)
-    else:
-        skolemized, inverse = graph.skolemize()
-        closed = RDFGraph.unskolemize(rdfs_closure(skolemized), inverse)
-    graph._adopt_closure(closed)
-    return closed
+        return rdfs_closure(graph)
+    skolemized, inverse = graph.skolemize()
+    closed = rdfs_closure(skolemized)
+    return RDFGraph.unskolemize(closed, inverse)
 
 
 def closure_delta(graph: RDFGraph, closed: Optional[RDFGraph] = None) -> RDFGraph:
