@@ -12,19 +12,14 @@ import pytest
 
 from repro.generators import property_fanout, sc_chain_with_instance, sp_chain
 from repro.semantics import rdfs_closure
-from repro.semantics.closure import (
-    rdfs_closure_arrays,
-    rdfs_closure_boxed,
-    rdfs_closure_encoded,
-)
+from repro.semantics.closure import rdfs_closure_arrays
 
 CHAIN_SIZES = [8, 16, 32, 64]
 FANOUT_SIZES = [4, 8, 16]
 
-#: Extended growth curve for the kernel A/B/C: sp-chain(448) closes to
-#: ~101k triples (the 10⁵ target).  The boxed kernel is skipped here
-#: (its per-term hashing would dominate the whole bench run) and the
-#: slow pair only gets REPEATS_LARGE timed runs each.
+#: Extended growth curve for the kernel timings: sp-chain(448) closes
+#: to ~101k triples (the 10⁵ target), so these sizes only get
+#: REPEATS_LARGE timed runs each.
 EXTENDED_CHAIN_SIZES = [128, 256, 448]
 REPEATS_LARGE = 2
 
@@ -76,14 +71,11 @@ def _best_of(fn, graph, repeats=5):
 
 
 def collect_ab_series():
-    """Kernel A/B/C: (family, |G|, arrays ms, encoded ms, boxed ms).
+    """Closure-kernel timings: (family, |G|, arrays ms).
 
-    Runs all three closure kernels on the same growth workloads so the
-    sorted-run/merge-join speedup is a committed, reviewable number
-    (the CI perf gate watches the largest sp-chain row of both the
-    arrays and encoded columns).  On the extended sizes — where the
-    closure reaches ~10⁵ triples — ``boxed_ms`` is None: the boxed
-    kernel is only a baseline and would dominate the bench wall clock.
+    Times the arrays kernel on the growth workloads so its speed is a
+    committed, reviewable number (the CI perf gate watches the largest
+    sp-chain row).
     """
     workloads = [("sp-chain", sp_chain(n)) for n in CHAIN_SIZES]
     workloads += [
@@ -91,15 +83,11 @@ def collect_ab_series():
     ]
     rows = []
     for family, g in workloads:
-        arrays_ms = _best_of(rdfs_closure_arrays, g)
-        encoded_ms = _best_of(rdfs_closure_encoded, g)
-        boxed_ms = _best_of(rdfs_closure_boxed, g)
-        rows.append((family, len(g), arrays_ms, encoded_ms, boxed_ms))
+        rows.append((family, len(g), _best_of(rdfs_closure_arrays, g)))
     for n in EXTENDED_CHAIN_SIZES:
         g = sp_chain(n)
         arrays_ms = _best_of(rdfs_closure_arrays, g, repeats=REPEATS_LARGE)
-        encoded_ms = _best_of(rdfs_closure_encoded, g, repeats=REPEATS_LARGE)
-        rows.append(("sp-chain", len(g), arrays_ms, encoded_ms, None))
+        rows.append(("sp-chain", len(g), arrays_ms))
     return rows
 
 

@@ -11,8 +11,8 @@ Two sentinel workloads, one per governed kernel:
 
 * the E4 ``hard/non-3-colorable n=10`` refutation — planner
   backtracking, where every candidate assignment ticks the guard;
-* the sp-chain(64) encoded closure — the dictionary-encoded fixpoint,
-  where every round charges its derived-fact count.
+* the sp-chain(64) closure — the arrays kernel, where every round
+  charges its derived-fact count.
 
 Timings are *interleaved* best-of-N minima: alternating the A and B
 runs inside one loop exposes both variants to the same thermal /
@@ -26,7 +26,7 @@ from repro.generators import random_digraph, sp_chain
 from repro.reductions import DiGraph, encode_graph
 from repro.robustness import Budget, guarded
 from repro.semantics import simple_entails
-from repro.semantics.closure import rdfs_closure_encoded
+from repro.semantics.closure import rdfs_closure_arrays
 
 REPEATS = 7
 
@@ -60,11 +60,11 @@ def _e4_hard_workload(n=10):
 
 
 def _closure_workload(n=64):
-    """The closure perf-gate sentinel: sp-chain(64), encoded kernel."""
+    """The closure perf-gate sentinel: sp-chain(64), arrays kernel."""
     graph = sp_chain(n)
 
     def run():
-        rdfs_closure_encoded(graph)
+        rdfs_closure_arrays(graph)
 
     return run
 

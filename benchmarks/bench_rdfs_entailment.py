@@ -81,17 +81,13 @@ def collect_series():
 
 
 def collect_ab_series():
-    """Closure-kernel A/B/C on the entailment ontologies.
+    """Closure-kernel timings on the entailment ontologies.
 
-    Rows: (family, |G|, arrays ms, encoded ms, boxed ms).
+    Rows: (family, |G|, arrays ms).
     """
     import time
 
-    from repro.semantics.closure import (
-        rdfs_closure_arrays,
-        rdfs_closure_boxed,
-        rdfs_closure_encoded,
-    )
+    from repro.semantics.closure import rdfs_closure_arrays
 
     def best_of(fn, graph, repeats=5):
         best = float("inf")
@@ -105,12 +101,6 @@ def collect_ab_series():
     for spec in SIZES:
         g = ontology(spec)
         rows.append(
-            (
-                "schema+instances",
-                len(g),
-                best_of(rdfs_closure_arrays, g),
-                best_of(rdfs_closure_encoded, g),
-                best_of(rdfs_closure_boxed, g),
-            )
+            ("schema+instances", len(g), best_of(rdfs_closure_arrays, g))
         )
     return rows

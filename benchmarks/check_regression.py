@@ -13,9 +13,8 @@ sentinel workloads guard the two kernels this repo optimizes:
 
 * E4 ``hard/non-3-colorable n=10`` — the matching planner's hardest
   committed row (exhaustive refutation with backtracking);
-* the largest sp-chain row of the closure-kernel A/B/C, once for the
-  ``arrays`` (sorted-run merge) kernel and once for the ``encoded``
-  (dict-of-sets) baseline.
+* the largest sp-chain row of the ``arrays`` (sorted-run merge)
+  closure kernel.
 
 With the optional second pair, the same largest-common-size / >3x rule
 also gates the scale path from ``BENCH_ingest.json`` (committed full
@@ -89,31 +88,18 @@ def _e4_hard_series(payload):
     }
 
 
-def _closure_growth_series(payload, key):
-    """sp-chain timings of one kernel column keyed by |G|, or {}.
-
-    Rows where the column was not measured are dropped (``boxed_ms``
-    is None on the extended sizes), so the gate only ever compares
-    sizes both files actually timed with that kernel.
-    """
+def _closure_growth_arrays(payload):
+    """sp-chain timings of the arrays kernel keyed by |G|, or {}."""
     try:
         rows = payload["closure_kernel"]["growth"]
     except (KeyError, TypeError):
         return {}
     return {
-        row["size"]: row[key]
+        row["size"]: row["arrays_ms"]
         for row in rows
         if row.get("family") == "sp-chain"
-        and row.get("size") is not None and row.get(key) is not None
+        and row.get("size") is not None and row.get("arrays_ms") is not None
     }
-
-
-def _closure_growth_arrays(payload):
-    return _closure_growth_series(payload, "arrays_ms")
-
-
-def _closure_growth_encoded(payload):
-    return _closure_growth_series(payload, "encoded_ms")
 
 
 def _ingest_serial_series(payload):
@@ -150,7 +136,6 @@ def _partitioned_closure_series(payload):
 CHECKS = [
     ("E4 hard/non-3-colorable", _e4_hard_series),
     ("closure-kernel arrays sp-chain", _closure_growth_arrays),
-    ("closure-kernel encoded sp-chain", _closure_growth_encoded),
 ]
 
 #: Checks over the optional BENCH_ingest.json pair.

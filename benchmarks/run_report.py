@@ -9,10 +9,10 @@ Run:  python benchmarks/run_report.py            # full report
       python benchmarks/run_report.py --quick    # CI smoke: E4 + E5 + store
 
 Both modes re-measure the two entailment experiments (E4 hardness, E5
-acyclic routing) plus the encoded-vs-boxed closure-kernel A/B and write
+acyclic routing) plus the closure-kernel timings and write
 ``BENCH_entailment.json`` at the repo root: the pre-planner seed
 baselines next to the current run's numbers, so perf regressions in the
-matching planner or the dictionary-encoded kernel show up in review
+matching planner or the closure kernel show up in review
 diffs (and trip benchmarks/check_regression.py in CI).  They
 also run the mixed insert/delete store workload and write
 ``BENCH_store.json``: the seed's recompute-on-delete baseline next to
@@ -107,36 +107,14 @@ def entailment_sections():
     return e4_rows, e5_rows
 
 
-def _kernel_row(family, size, arr_ms, enc_ms, box_ms):
-    """Print + payload for one closure-kernel A/B/C row.
-
-    ``boxed_ms`` is None on the extended growth sizes (the boxed
-    baseline is skipped there); ``speedup`` is arrays-vs-encoded — the
-    ratio the CI gate and the ISSUE target are stated over.
-    """
-    speedup = enc_ms / arr_ms if arr_ms else float("inf")
-    box_txt = f"{box_ms:9.3f}" if box_ms is not None else f"{'—':>9s}"
-    print(
-        f"{family:20s} {size:6d} {arr_ms:10.3f} {enc_ms:11.3f} "
-        f"{box_txt} {speedup:7.2f}x"
-    )
-    row = {
-        "family": family,
-        "size": size,
-        "arrays_ms": round(arr_ms, 3),
-        "encoded_ms": round(enc_ms, 3),
-        "boxed_ms": round(box_ms, 3) if box_ms is not None else None,
-        "speedup": round(speedup, 2),
-    }
-    if box_ms is not None:
-        row["speedup_encoded_vs_boxed"] = round(
-            box_ms / enc_ms if enc_ms else float("inf"), 2
-        )
-    return row
+def _kernel_row(family, size, arr_ms):
+    """Print + payload for one closure-kernel row."""
+    print(f"{family:20s} {size:6d} {arr_ms:10.3f}")
+    return {"family": family, "size": size, "arrays_ms": round(arr_ms, 3)}
 
 
 def closure_kernel_section():
-    """Run + print the closure-kernel A/B/C; return the payload.
+    """Run + print the closure-kernel timings; return the payload.
 
     Runs in both full and --quick mode: the committed rows in
     ``BENCH_entailment.json`` are the baseline the CI perf gate
@@ -144,26 +122,20 @@ def closure_kernel_section():
     """
     section(
         "A3",
-        "ablation: closure kernels A/B/C (arrays / encoded / boxed)",
-        "sorted-run merge kernel ≥3x over encoded on the largest sp-chain",
+        "closure kernel timings (arrays)",
+        "time tracks the Θ(|G|²) closure size (Theorem 3.6.3)",
     )
-    print(
-        f"{'family':20s} {'|G|':>6s} {'arrays ms':>10s} {'encoded ms':>11s} "
-        f"{'boxed ms':>9s} {'arr/enc':>8s}"
-    )
-    growth, entailment = [], []
-    for family, size, arr_ms, enc_ms, box_ms in (
-        bench_closure_growth.collect_ab_series()
-    ):
-        growth.append(_kernel_row(family, size, arr_ms, enc_ms, box_ms))
-    for family, size, arr_ms, enc_ms, box_ms in (
-        bench_rdfs_entailment.collect_ab_series()
-    ):
-        entailment.append(_kernel_row(family, size, arr_ms, enc_ms, box_ms))
+    print(f"{'family':20s} {'|G|':>6s} {'arrays ms':>10s}")
+    growth = [
+        _kernel_row(*row) for row in bench_closure_growth.collect_ab_series()
+    ]
+    entailment = [
+        _kernel_row(*row) for row in bench_rdfs_entailment.collect_ab_series()
+    ]
     return {
         "units": (
             "ms (best of 5 runs each; extended sp-chain sizes best of "
-            f"{bench_closure_growth.REPEATS_LARGE}, boxed skipped there)"
+            f"{bench_closure_growth.REPEATS_LARGE})"
         ),
         "growth": growth,
         "entailment": entailment,
@@ -363,7 +335,7 @@ def write_bench_json(
         "description": (
             "Entailment benchmarks (E4 hardness, E5 acyclic routing): "
             "pre-planner seed baseline vs the current matching planner, "
-            "plus the encoded-vs-boxed closure kernel A/B. "
+            "plus the closure-kernel timings. "
             "Regenerate with: python benchmarks/run_report.py"
         ),
         "units": "ms (best of 5 runs for 'current'; seed was single-run)",

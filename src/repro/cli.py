@@ -466,11 +466,10 @@ def cmd_stats(args, out) -> int:
     # through the store's shared TermDict.
     for key, value in store.term_dict.stats().items():
         out.write(f"{'term_dict.' + key + ':':20s}{value}\n")
-    # Closure-kernel dispatch: which kernel is active and how often each
-    # one actually ran in this process, so profiles are attributable.
-    from .semantics.closure import KERNEL_DISPATCH, active_closure_kernel
+    # Closure-kernel dispatch: how often each kernel ran in this
+    # process, so profiles are attributable.
+    from .semantics.closure import KERNEL_DISPATCH
 
-    out.write(f"closure kernel:     {active_closure_kernel()}\n")
     for kernel in sorted(KERNEL_DISPATCH):
         key = f"kernel.dispatch.{kernel}:"
         out.write(f"{key:20s}{KERNEL_DISPATCH[kernel]}\n")

@@ -77,8 +77,6 @@ STANDARD_COUNTERS = (
     "closure.rounds",
     "closure.derived_triples",
     "closure.dispatch.arrays",
-    "closure.dispatch.encoded",
-    "closure.dispatch.boxed",
     "closure.dispatch.partitioned",
     "closure.kernel.arrays.batch_rows",
     "closure.kernel.arrays.delta_rows",

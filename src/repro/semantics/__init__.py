@@ -8,14 +8,11 @@ equivalent closure notions, and the map-based entailment procedures.
 from .closure import (
     ClosureOracle,
     KERNEL_DISPATCH,
-    active_closure_kernel,
     closure,
     closure_delta,
     rdfs_closure,
     rdfs_closure_arrays,
     rdfs_closure_by_rules,
-    rdfs_closure_boxed,
-    rdfs_closure_encoded,
     rdfs_closure_partitioned,
 )
 from .entailment import (
@@ -48,7 +45,6 @@ __all__ = [
     "ALL_RULES",
     "ClosureOracle",
     "KERNEL_DISPATCH",
-    "active_closure_kernel",
     "ExistentialStep",
     "Interpretation",
     "Proof",
@@ -78,9 +74,7 @@ __all__ = [
     "same_as_classes",
     "rdfs_closure",
     "rdfs_closure_arrays",
-    "rdfs_closure_boxed",
     "rdfs_closure_by_rules",
-    "rdfs_closure_encoded",
     "rdfs_closure_partitioned",
     "satisfies_simple",
     "simple_entails",

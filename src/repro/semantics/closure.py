@@ -27,7 +27,12 @@ import tempfile
 from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.columns import SortedRuns, merge_union_many, merge_union_sorted
+from ..core.columns import (
+    SortedRuns,
+    gallop_left,
+    merge_union_many,
+    merge_union_sorted,
+)
 from ..core.graph import RDFGraph
 from ..core.interning import (
     BNODE_BASE,
@@ -41,7 +46,7 @@ from ..core.interning import (
     TermDict,
     VOCAB_SIZE,
 )
-from ..core.terms import BNode, Literal, Term, Triple, URI
+from ..core.terms import Term, Triple, URI
 from ..core.vocabulary import DOM, RANGE, RDFS_VOCABULARY, SC, SP, TYPE
 from ..obs import OBS, MetricsRegistry
 from ..obs.progress import ProgressReporter, current_progress
@@ -52,15 +57,12 @@ from .rules import apply_rules_to_fixpoint
 __all__ = [
     "rdfs_closure",
     "rdfs_closure_arrays",
-    "rdfs_closure_boxed",
-    "rdfs_closure_encoded",
     "rdfs_closure_partitioned",
     "rdfs_closure_partitioned_rows",
     "rdfs_closure_by_rules",
     "closure",
     "ClosureOracle",
     "closure_delta",
-    "active_closure_kernel",
     "KERNEL_DISPATCH",
 ]
 
@@ -68,20 +70,8 @@ __all__ = [
 #: the obs registry gets the same counts when instrumentation is on).
 KERNEL_DISPATCH: Dict[str, int] = {
     "arrays": 0,
-    "encoded": 0,
-    "boxed": 0,
     "partitioned": 0,
 }
-
-
-def active_closure_kernel() -> str:
-    """The kernel :func:`rdfs_closure` would dispatch to right now.
-
-    Resolves ``REPRO_CLOSURE_KERNEL`` (default ``arrays``); unknown
-    values fall back to the default, exactly as dispatch does.
-    """
-    mode = os.environ.get("REPRO_CLOSURE_KERNEL", "arrays")
-    return mode if mode in KERNEL_DISPATCH else "arrays"
 
 
 def rdfs_closure_by_rules(graph: RDFGraph) -> RDFGraph:
@@ -116,122 +106,6 @@ def _transitive_pairs(edges: Set[Tuple[Term, Term]]) -> Set[Tuple[Term, Term]]:
     return reach
 
 
-def _closure_round(triples: Set[Triple]) -> Set[Triple]:
-    """One staged emission of all rule-group consequences of *triples*.
-
-    Each stage emits, in bulk, everything the corresponding rule group
-    can derive from the *current* triple set.  Iterated to fixpoint by
-    :func:`rdfs_closure` (a second round is only needed when reserved
-    vocabulary occurs in subject/object positions, e.g. a subproperty of
-    ``sp`` itself).
-    """
-    new: Set[Triple] = set()
-
-    # Per-rule-group emission counters (first-emitter attribution for
-    # triples several groups would derive).  ``checkpoint`` is a no-op
-    # closure while instrumentation is off.
-    checkpoint = _make_checkpoint(new)
-
-    sp_edges = {(t.s, t.o) for t in triples if t.p == SP}
-    sc_edges = {(t.s, t.o) for t in triples if t.p == SC}
-
-    # GROUP E: sp reflexivity — rules (8), (9), (10), (11).
-    sp_reflexive: Set[Term] = set(RDFS_VOCABULARY)
-    for t in triples:
-        sp_reflexive.add(t.p)  # rule (8)
-        if t.p in (DOM, RANGE):
-            sp_reflexive.add(t.s)  # rule (10)
-    for a, b in sp_edges:
-        sp_reflexive.add(a)  # rule (11)
-        sp_reflexive.add(b)
-    for a in sp_reflexive:
-        if not isinstance(a, Literal):
-            new.add(Triple(a, SP, a))
-    checkpoint("rule8_11_sp_reflexivity")
-
-    # GROUP F: sc reflexivity — rules (12), (13).
-    sc_reflexive: Set[Term] = set()
-    for t in triples:
-        if t.p in (DOM, RANGE, TYPE):
-            sc_reflexive.add(t.o)  # rule (12)
-    for a, b in sc_edges:
-        sc_reflexive.add(a)  # rule (13)
-        sc_reflexive.add(b)
-    for a in sc_reflexive:
-        if isinstance(a, (URI, BNode)):
-            new.add(Triple(a, SC, a))
-    checkpoint("rule12_13_sc_reflexivity")
-
-    # The sp/sc transitive closures feed rules (2)/(3)/(6)/(7) and
-    # (4)/(5) respectively; compute each once per round.
-    sp_pairs = _transitive_pairs(sp_edges)
-    sc_pairs = _transitive_pairs(sc_edges)
-
-    # GROUP B, rule (2): sp transitivity.
-    for a, b in sp_pairs:
-        new.add(Triple(a, SP, b))
-    checkpoint("rule2_sp_transitivity")
-
-    # GROUP C, rule (4): sc transitivity.
-    for a, b in sc_pairs:
-        if isinstance(a, (URI, BNode)) and isinstance(b, (URI, BNode)):
-            new.add(Triple(a, SC, b))
-    checkpoint("rule4_sc_transitivity")
-
-    # GROUP B, rule (3): lift every triple along sp.  Superproperties of
-    # each predicate, through the (already emitted) transitive pairs.
-    sp_super: Dict[Term, Set[Term]] = {}
-    for a, b in sp_pairs:
-        sp_super.setdefault(a, set()).add(b)
-    for t in triples:
-        for b in sp_super.get(t.p, ()):
-            if isinstance(b, URI):  # no blank predicates
-                new.add(Triple(t.s, b, t.o))
-    checkpoint("rule3_sp_lift")
-
-    # GROUP D, rule (5): lift type along sc.
-    sc_super: Dict[Term, Set[Term]] = {}
-    for a, b in sc_pairs:
-        sc_super.setdefault(a, set()).add(b)
-    type_triples = [t for t in triples if t.p == TYPE]
-    for t in type_triples:
-        for b in sc_super.get(t.o, ()):
-            if isinstance(b, (URI, BNode)):
-                new.add(Triple(t.s, TYPE, b))
-    checkpoint("rule5_sc_type_lift")
-
-    # GROUP D, rules (6)/(7): dom/range typing through sp (Marin's fix:
-    # the property A may be a blank standing for a property).
-    # (A,dom,B), (C,sp,A), (X,C,Y) ⟹ (X,type,B); C ranges over the
-    # sp-ancestors of A *including A itself* (reflexivity gives (A,sp,A)
-    # whenever A is the subject of a dom/range triple, rule (10)).
-    sp_sub: Dict[Term, Set[Term]] = {}
-    for a, b in sp_pairs:
-        sp_sub.setdefault(b, set()).add(a)
-    by_predicate: Dict[Term, List[Triple]] = {}
-    for t in triples:
-        by_predicate.setdefault(t.p, []).append(t)
-    for t in triples:
-        if t.p not in (DOM, RANGE):
-            continue
-        klass = t.o
-        if isinstance(klass, Literal):
-            continue
-        properties = {t.s} | sp_sub.get(t.s, set())
-        for c in properties:
-            for used in by_predicate.get(c, ()):
-                if t.p == DOM:
-                    subject = used.s
-                    new.add(Triple(subject, TYPE, klass))
-                else:
-                    target = used.o
-                    if isinstance(target, (URI, BNode)):
-                        new.add(Triple(target, TYPE, klass))
-    checkpoint("rule6_7_dom_range")
-
-    return new - triples
-
-
 def _make_checkpoint(new):
     """Per-rule-group emission counter closure (no-op while obs is off)."""
     if OBS.enabled:
@@ -248,223 +122,6 @@ def _make_checkpoint(new):
         def checkpoint(group: str) -> None:
             return None
     return checkpoint
-
-
-def _closure_round_ids(rows: Set[Row]) -> Set[Row]:
-    """ID-space twin of :func:`_closure_round`.
-
-    Same staged emission over ``(int, int, int)`` rows from a
-    vocabulary-seeded :class:`TermDict`, so the boxed version's
-    ``isinstance`` / keyword-equality tests become int comparisons:
-    ``p == SP`` is ``p == SP_ID`` (= 0), "not a literal" is
-    ``i < LITERAL_BASE``, "is a URI" is ``i < BNODE_BASE``.  All set
-    operations run over plain int tuples, which hash and compare in C.
-    """
-    new: Set[Row] = set()
-    checkpoint = _make_checkpoint(new)
-
-    sp_edges = {(s, o) for s, p, o in rows if p == SP_ID}
-    sc_edges = {(s, o) for s, p, o in rows if p == SC_ID}
-
-    # GROUP E: sp reflexivity — rules (8), (9), (10), (11).
-    sp_reflexive: Set[int] = set(range(VOCAB_SIZE))
-    for s, p, _o in rows:
-        sp_reflexive.add(p)  # rule (8)
-        if p == DOM_ID or p == RANGE_ID:
-            sp_reflexive.add(s)  # rule (10)
-    for a, b in sp_edges:
-        sp_reflexive.add(a)  # rule (11)
-        sp_reflexive.add(b)
-    for a in sp_reflexive:
-        if a < LITERAL_BASE:
-            new.add((a, SP_ID, a))
-    checkpoint("rule8_11_sp_reflexivity")
-
-    # GROUP F: sc reflexivity — rules (12), (13).
-    sc_reflexive: Set[int] = set()
-    for _s, p, o in rows:
-        if p == DOM_ID or p == RANGE_ID or p == TYPE_ID:
-            sc_reflexive.add(o)  # rule (12)
-    for a, b in sc_edges:
-        sc_reflexive.add(a)  # rule (13)
-        sc_reflexive.add(b)
-    for a in sc_reflexive:
-        if a < LITERAL_BASE:
-            new.add((a, SC_ID, a))
-    checkpoint("rule12_13_sc_reflexivity")
-
-    sp_pairs = _transitive_pairs(sp_edges)
-    sc_pairs = _transitive_pairs(sc_edges)
-
-    # GROUP B, rule (2): sp transitivity.
-    for a, b in sp_pairs:
-        new.add((a, SP_ID, b))
-    checkpoint("rule2_sp_transitivity")
-
-    # GROUP C, rule (4): sc transitivity.
-    for a, b in sc_pairs:
-        if a < LITERAL_BASE and b < LITERAL_BASE:
-            new.add((a, SC_ID, b))
-    checkpoint("rule4_sc_transitivity")
-
-    # GROUP B, rule (3): lift every triple along sp.
-    sp_super: Dict[int, Set[int]] = {}
-    for a, b in sp_pairs:
-        sp_super.setdefault(a, set()).add(b)
-    if sp_super:
-        for s, p, o in rows:
-            supers = sp_super.get(p)
-            if supers:
-                for b in supers:
-                    if b < BNODE_BASE:  # no blank predicates
-                        new.add((s, b, o))
-    checkpoint("rule3_sp_lift")
-
-    # GROUP D, rules (6)/(7): dom/range typing through sp (Marin's fix).
-    # Ordered BEFORE rule (5) — unlike the boxed round — so the type
-    # triples derived here get sc-lifted within the same round; that is
-    # what makes a single round complete on vocabulary-clean input (see
-    # :func:`rdfs_closure_encoded`).
-    sp_sub: Dict[int, Set[int]] = {}
-    for a, b in sp_pairs:
-        sp_sub.setdefault(b, set()).add(a)
-    by_predicate: Dict[int, List[Row]] = {}
-    for row in rows:
-        by_predicate.setdefault(row[1], []).append(row)
-    typed_pairs: Set[Tuple[int, int]] = set()  # (instance, class)
-    for s, p, o in rows:
-        if p != DOM_ID and p != RANGE_ID:
-            continue
-        if o >= LITERAL_BASE:
-            continue
-        properties = {s} | sp_sub.get(s, set())
-        if p == DOM_ID:
-            for c in properties:
-                for used in by_predicate.get(c, ()):
-                    typed_pairs.add((used[0], o))
-        else:
-            for c in properties:
-                for used in by_predicate.get(c, ()):
-                    target = used[2]
-                    if target < LITERAL_BASE:
-                        typed_pairs.add((target, o))
-    for x, klass in typed_pairs:
-        new.add((x, TYPE_ID, klass))
-    checkpoint("rule6_7_dom_range")
-
-    # GROUP D, rule (5): lift type along sc — over the input's type
-    # triples and the dom/range typings derived just above.
-    sc_super: Dict[int, Set[int]] = {}
-    for a, b in sc_pairs:
-        sc_super.setdefault(a, set()).add(b)
-    if sc_super:
-        for s, p, o in rows:
-            if p == TYPE_ID:
-                supers = sc_super.get(o)
-                if supers:
-                    for b in supers:
-                        if b < LITERAL_BASE:
-                            new.add((s, TYPE_ID, b))
-        for x, klass in typed_pairs:
-            supers = sc_super.get(klass)
-            if supers:
-                for b in supers:
-                    if b < LITERAL_BASE:
-                        new.add((x, TYPE_ID, b))
-    checkpoint("rule5_sc_type_lift")
-
-    return new - rows
-
-
-def _fixpoint_rounds(state, round_fn, input_size):
-    """Shared fixpoint loop with obs spans; mutates *state* in place."""
-    guard = current_guard()
-    with OBS.span("closure.fixpoint", input=input_size) as span:
-        rounds = 0
-        while True:
-            rounds += 1
-            if FAULTS.enabled:
-                FAULTS.hit("closure.round")
-            with OBS.span("closure.round", round=rounds) as round_span:
-                new = round_fn(state)
-                round_span.annotate(new=len(new))
-            if guard is not None:
-                # One step per round plus one per derived triple: the
-                # quadratic blowup of Theorem 3.6.3 is what a budget
-                # must be able to interrupt.
-                guard.tick(1 + len(new))
-            if not new:
-                break
-            state |= new
-        if OBS.enabled:
-            OBS.registry.inc("closure.rounds", rounds)
-            OBS.registry.inc(
-                "closure.derived_triples", len(state) - input_size
-            )
-            span.annotate(rounds=rounds, output=len(state))
-    return state
-
-
-def rdfs_closure_boxed(graph: RDFGraph) -> RDFGraph:
-    """``RDFS-cl(G)`` over boxed terms (reference / A-B baseline).
-
-    The original staged implementation; kept callable so the benchmark
-    suite can measure the encoded kernel against it and so
-    ``REPRO_CLOSURE_KERNEL=boxed`` can force it at runtime.
-    """
-    triples: Set[Triple] = set(graph.triples)
-    _fixpoint_rounds(triples, _closure_round, len(graph))
-    return RDFGraph(triples)
-
-
-def rdfs_closure_encoded(graph: RDFGraph) -> RDFGraph:
-    """``RDFS-cl(G)`` via the dictionary-encoded int kernel.
-
-    Interns the graph through a fresh vocabulary-seeded
-    :class:`TermDict`, runs the staged fixpoint entirely over
-    ``(int, int, int)`` rows, and decodes once at the end.  Raises
-    ``TypeError`` if the graph contains non-RDF terms (variables);
-    :func:`rdfs_closure` falls back to the boxed path in that case.
-    """
-    terms = TermDict()
-    rows: Set[Row] = set(terms.encode_rows(graph.triples))
-    # Reserved vocabulary in a subject/object position (a subproperty
-    # *of sp itself*, a domain axiom *about type*, …) can make round-1
-    # derivations feed rules they precede; only then is iteration
-    # needed.  Thanks to vocabulary seeding this is five int compares
-    # per row — and on clean input the verification round (a full
-    # re-derivation that discovers nothing) is skipped outright, which
-    # roughly halves the kernel's work.  The staged round orders rules
-    # (6)/(7) before rule (5) precisely so this single pass is complete;
-    # the equivalence with the iterated boxed path is pinned by the
-    # closure and property suites.
-    if any(s < VOCAB_SIZE or o < VOCAB_SIZE for s, _p, o in rows):
-        _fixpoint_rounds(rows, _closure_round_ids, len(graph))
-    else:
-        guard = current_guard()
-        if FAULTS.enabled:
-            FAULTS.hit("closure.round")
-        with OBS.span("closure.fixpoint", input=len(rows)) as span:
-            with OBS.span("closure.round", round=1) as round_span:
-                new = _closure_round_ids(rows)
-                round_span.annotate(new=len(new))
-            if guard is not None:
-                guard.tick(1 + len(new))
-            rows |= new
-            if OBS.enabled:
-                OBS.registry.inc("closure.rounds", 1)
-                OBS.registry.inc(
-                    "closure.derived_triples", len(rows) - len(graph)
-                )
-                span.annotate(rounds=1, output=len(rows))
-    dec = terms.decode_triple
-    out = RDFGraph([dec(row) for row in rows])
-    if OBS.enabled:
-        registry = OBS.registry
-        registry.inc("interning.encode_calls", terms.encodes)
-        registry.inc("interning.decode_calls", terms.decodes)
-        registry.set_gauge("interning.closure_dict_size", len(terms))
-    return out
 
 
 def _successor_sets(edges, guard) -> Dict[int, Set[int]]:
@@ -526,11 +183,11 @@ def _reverse_reachable(edges, sources) -> Dict[int, List[int]]:
 
 
 def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
-    """One staged emission over a sorted-run relation.
+    """One staged emission of rules (2)–(13) over a sorted-run relation.
 
-    The array twin of :func:`_closure_round_ids`: every rule group
-    reads contiguous POS runs (the five rdfsV keywords are IDs 0–4, so
-    their runs sit at the front of the predicate column), and rule
+    Every rule group reads contiguous POS runs (the five rdfsV keywords
+    are IDs 0–4, so their runs sit at the front of the predicate
+    column), and rule
     application leapfrogs the sorted predicate runs against the sorted
     keys of the sp/sc reachability relations — a key-level merge-join
     in place of per-tuple dict probing.  Emits a raw batch (duplicates
@@ -552,16 +209,21 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
     groups = list(pos.groups())  # (predicate, lo, hi) runs, ascending
     probes = emits = 0
 
+    # Rules (11)/(13) are instantiation-atomic, as in rules.py: with a
+    # literal B, (B sp B) is ill-formed, so (A sp "v") yields neither
+    # reflexive row.  Literal objects sort last in a POS run; cut there.
+    sp_mid = gallop_left(c1, LITERAL_BASE, sp_lo, sp_hi)
+    sc_mid = gallop_left(c1, LITERAL_BASE, sc_lo, sc_hi)
+
     # GROUP E: sp reflexivity — rules (8), (9), (10), (11).
     sp_reflexive: Set[int] = set(range(VOCAB_SIZE))
     sp_reflexive.update(k for k, _lo, _hi in groups)  # rule (8)
     sp_reflexive.update(c2[dom_lo:dom_hi])  # rule (10)
     sp_reflexive.update(c2[rg_lo:rg_hi])
-    sp_reflexive.update(c2[sp_lo:sp_hi])  # rule (11)
-    sp_reflexive.update(c1[sp_lo:sp_hi])
+    sp_reflexive.update(c2[sp_lo:sp_mid])  # rule (11)
+    sp_reflexive.update(c1[sp_lo:sp_mid])
     for a in sp_reflexive:
-        if a < LITERAL_BASE:
-            push((a, SP_ID, a))
+        push((a, SP_ID, a))
     checkpoint("rule8_11_sp_reflexivity")
 
     # GROUP F: sc reflexivity — rules (12), (13).
@@ -569,8 +231,8 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
     sc_reflexive.update(c1[dom_lo:dom_hi])  # rule (12)
     sc_reflexive.update(c1[rg_lo:rg_hi])
     sc_reflexive.update(c1[ty_lo:ty_hi])
-    sc_reflexive.update(c2[sc_lo:sc_hi])  # rule (13)
-    sc_reflexive.update(c1[sc_lo:sc_hi])
+    sc_reflexive.update(c2[sc_lo:sc_mid])  # rule (13)
+    sc_reflexive.update(c1[sc_lo:sc_mid])
     for a in sc_reflexive:
         if a < LITERAL_BASE:
             push((a, SC_ID, a))
@@ -591,10 +253,8 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
 
     # GROUP C, rule (4): sc transitivity.
     for a, succ in sc_succ.items():
-        if a < LITERAL_BASE:
-            for b in succ:
-                if b < LITERAL_BASE:
-                    push((a, SC_ID, b))
+        for b in succ:
+            push((a, SC_ID, b))
     checkpoint("rule4_sc_transitivity")
 
     # GROUP B, rule (3): lift every triple along sp — leapfrog the
@@ -620,11 +280,12 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
     checkpoint("rule3_sp_lift")
 
     # GROUP D, rules (6)/(7): dom/range typing through sp (Marin's
-    # fix).  Ordered BEFORE rule (5) — as in the encoded kernel — so
-    # the type pairs derived here are sc-lifted within the same round.
-    # Properties sp-below an axiom subject come from a reverse DFS over
-    # the (input-sized) sp edge list; each property's uses are one
-    # galloping range probe into the predicate column.
+    # fix).  Ordered BEFORE rule (5) so the type pairs derived here are
+    # sc-lifted within the same round.  A literal class still types:
+    # (X type "v") is well-formed.  Properties sp-below an axiom subject
+    # come from a reverse DFS over the (input-sized) sp edge list; each
+    # property's uses are one galloping range probe into the predicate
+    # column.
     typed_pairs: List[Tuple[int, int]] = []  # (instance, class)
     if dom_lo != dom_hi or rg_lo != rg_hi:
         subjects = set(c2[dom_lo:dom_hi])
@@ -635,8 +296,6 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
             (rg_lo, rg_hi, False),
         ):
             for klass, a in zip(c1[a_lo:a_hi], c2[a_lo:a_hi]):
-                if klass >= LITERAL_BASE:
-                    continue
                 below = sp_sub.get(a)
                 properties = [a] + below if below else (a,)
                 for c in properties:
@@ -680,13 +339,12 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
                 i2 = i + 1
                 while i2 < m and by_class[i2][0] == k:
                     i2 += 1
-                supers = [b for b in sc_succ[k] if b < LITERAL_BASE]
-                if supers:
-                    for x in range(i, i2):
-                        xx = by_class[x][1]
-                        for b in supers:
-                            push((xx, TYPE_ID, b))
-                    emits += (i2 - i) * len(supers)
+                supers = sc_succ[k]
+                for x in range(i, i2):
+                    xx = by_class[x][1]
+                    for b in supers:
+                        push((xx, TYPE_ID, b))
+                emits += (i2 - i) * len(supers)
                 i = i2
                 j += 1
     checkpoint("rule5_sc_type_lift")
@@ -705,12 +363,15 @@ def rdfs_closure_arrays(graph: RDFGraph) -> RDFGraph:
     staged fixpoint with batch semantics: each round emits one raw
     batch through merge-joins over contiguous POS runs, deduplicates it
     by sorted-merge difference against the accumulated run (no
-    per-tuple set probing), and merges the delta back in one pass.  On
-    input without reserved vocabulary in subject/object positions a
-    single round is complete (same argument as the encoded kernel) and
-    the verification round is skipped.  Raises ``TypeError`` on
-    non-RDF terms (variables); :func:`rdfs_closure` falls back to the
-    boxed path in that case.
+    per-tuple set probing), and merges the delta back in one pass.
+
+    On input without reserved vocabulary in subject/object positions a
+    single round is complete and the verification round is skipped:
+    every rule group reads the sp/sc relations already transitively
+    closed, and rules (6)/(7) run before rule (5), so their type rows
+    are sc-lifted in the same round.
+
+    Raises ``TypeError`` on non-RDF terms (variables).
     """
     terms = TermDict()
     rows_sorted = sorted(set(terms.encode_rows(graph.triples)))
@@ -1094,7 +755,7 @@ def rdfs_closure_partitioned(
     per-shard fixpoint with delta exchange, decode the merged union.
     Produces exactly :func:`rdfs_closure_arrays`'s output for every
     shard count (parity-tested at 1, 2 and 7 shards); raises
-    ``TypeError`` on non-RDF terms like the other encoded kernels.
+    ``TypeError`` on non-RDF terms, as :func:`rdfs_closure_arrays` does.
     """
     terms = TermDict()
     rows_sorted = sorted(set(terms.encode_rows(graph.triples)))
@@ -1119,38 +780,20 @@ def rdfs_closure_partitioned(
 
 
 def rdfs_closure(graph: RDFGraph) -> RDFGraph:
-    """``RDFS-cl(G)`` via the staged algorithm, iterated to fixpoint.
+    """``RDFS-cl(G)`` via the sorted-run kernel (:func:`rdfs_closure_arrays`).
 
     Agrees with :func:`rdfs_closure_by_rules` on every graph (tested,
     including graphs that use reserved vocabulary in subject/object
-    positions); runs in time polynomial in ``|G|`` with output size
-    ``Θ(|G|²)`` in the worst case (Theorem 3.6.3).
-
-    Dispatches on ``REPRO_CLOSURE_KERNEL``: ``arrays`` (the default)
-    runs the sorted-run kernel (:func:`rdfs_closure_arrays`),
-    ``encoded`` the dictionary-encoded set kernel
-    (:func:`rdfs_closure_encoded`), ``boxed`` the term-level staged
-    path.  Graphs holding terms the interner cannot encode (variables)
-    fall back to boxed whatever the mode.  All three produce the same
-    graph; ``closure.dispatch.*`` counters and the always-on
-    :data:`KERNEL_DISPATCH` tallies record which one ran.
+    positions and literal objects); runs in time polynomial in ``|G|``
+    with output size ``Θ(|G|²)`` in the worst case (Theorem 3.6.3).
+    The ``closure.dispatch.arrays`` counter and the always-on
+    :data:`KERNEL_DISPATCH` tally count the calls.
     """
-    mode = active_closure_kernel()
-    if mode != "boxed":
-        kernel = rdfs_closure_arrays if mode == "arrays" else rdfs_closure_encoded
-        try:
-            result = kernel(graph)
-        except TypeError:
-            pass  # non-RDF terms (e.g. variables): boxed fallback below
-        else:
-            KERNEL_DISPATCH[mode] += 1
-            if OBS.enabled:
-                OBS.registry.inc(f"closure.dispatch.{mode}")
-            return result
-    KERNEL_DISPATCH["boxed"] += 1
+    result = rdfs_closure_arrays(graph)
+    KERNEL_DISPATCH["arrays"] += 1
     if OBS.enabled:
-        OBS.registry.inc("closure.dispatch.boxed")
-    return rdfs_closure_boxed(graph)
+        OBS.registry.inc("closure.dispatch.arrays")
+    return result
 
 
 def closure(graph: RDFGraph) -> RDFGraph:

@@ -1093,30 +1093,6 @@ class TripleStore:
         """
         self._backend.close()
 
-    def save(self, directory) -> None:
-        """Serialize every named graph as ``<name>.nt`` under *directory*."""
-        from pathlib import Path
-
-        from ..rdfio.ntriples import serialize_ntriples
-
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
-        for name in self.graph_names():
-            (path / f"{name}.nt").write_text(serialize_ntriples(self.graph(name)))
-
-    @classmethod
-    def load(cls, directory) -> "TripleStore":
-        """Rebuild a store from :meth:`save` output."""
-        from pathlib import Path
-
-        from ..rdfio.ntriples import parse_ntriples
-
-        store = cls()
-        for file in sorted(Path(directory).glob("*.nt")):
-            graph = parse_ntriples(file.read_text())
-            store.add_all(graph, graph=file.stem)
-        return store
-
 
 class _Transaction:
     def __init__(self, store: TripleStore):

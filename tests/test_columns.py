@@ -6,8 +6,8 @@ flat columns must agree with the naive nested-loop/set-algebra answer
 over the same tuples.  Hypothesis drives random row sets — including
 IDs in the reserved-vocabulary band and the BNode/Literal high bands —
 through every operation, and random wild graphs (vocabulary in
-subject/object positions, literal objects) through the three closure
-kernels, which must agree triple-for-triple.
+subject/object positions, literal objects) through the closure kernels,
+which must agree triple-for-triple with the rule system.
 """
 
 from bisect import bisect_left, bisect_right
@@ -30,8 +30,8 @@ from repro.core.interning import BNODE_BASE, LITERAL_BASE
 from repro.core.vocabulary import DOM, RANGE, SC, SP, TYPE
 from repro.semantics.closure import (
     rdfs_closure_arrays,
-    rdfs_closure_boxed,
-    rdfs_closure_encoded,
+    rdfs_closure_by_rules,
+    rdfs_closure_partitioned,
 )
 
 from .strategies import rdfs_graphs
@@ -203,19 +203,21 @@ class TestSortedRuns:
 
 
 class TestClosureKernelParity:
+    """The kernels against the paper's rule system (Definition 2.7)."""
+
     @settings(**COMMON)
     @given(wild_graphs())
     def test_three_way_equality_on_wild_graphs(self, g):
-        arrays = set(rdfs_closure_arrays(g))
-        assert arrays == set(rdfs_closure_encoded(g))
-        assert arrays == set(rdfs_closure_boxed(g))
+        rules = set(rdfs_closure_by_rules(g))
+        assert set(rdfs_closure_arrays(g)) == rules
+        assert set(rdfs_closure_partitioned(g, shards=2)) == rules
 
     @settings(**COMMON)
     @given(rdfs_graphs())
     def test_three_way_equality_on_tame_graphs(self, g):
-        arrays = set(rdfs_closure_arrays(g))
-        assert arrays == set(rdfs_closure_encoded(g))
-        assert arrays == set(rdfs_closure_boxed(g))
+        rules = set(rdfs_closure_by_rules(g))
+        assert set(rdfs_closure_arrays(g)) == rules
+        assert set(rdfs_closure_partitioned(g, shards=2)) == rules
 
     @settings(**COMMON)
     @given(wild_graphs())
@@ -227,22 +229,54 @@ class TestClosureKernelParity:
             assert not isinstance(t.s, Literal)
             assert isinstance(t.p, URI)
 
-    def test_env_switch_selects_kernel(self, monkeypatch):
-        mod = import_module("repro.semantics.closure")
-
-        for name in ("arrays", "encoded", "boxed", "bogus"):
-            monkeypatch.setenv("REPRO_CLOSURE_KERNEL", name)
-            expected = name if name in mod.KERNEL_DISPATCH else "arrays"
-            assert mod.active_closure_kernel() == expected
-        monkeypatch.delenv("REPRO_CLOSURE_KERNEL")
-        assert mod.active_closure_kernel() == "arrays"
-
-    def test_dispatch_counts_increment(self, monkeypatch):
+    def test_dispatch_counts_increment(self):
         mod = import_module("repro.semantics.closure")
 
         g = RDFGraph([Triple(URI("a"), SP, URI("b"))])
-        for name in ("arrays", "encoded", "boxed"):
-            monkeypatch.setenv("REPRO_CLOSURE_KERNEL", name)
-            before = mod.KERNEL_DISPATCH[name]
-            mod.rdfs_closure(g)
-            assert mod.KERNEL_DISPATCH[name] == before + 1
+        before = mod.KERNEL_DISPATCH["arrays"]
+        mod.rdfs_closure(g)
+        assert mod.KERNEL_DISPATCH["arrays"] == before + 1
+
+
+class TestLiteralObjects:
+    """Rules whose conclusions carry a literal object (one case each)."""
+
+    V = Literal("v")
+
+    def _closes_like_rules(self, triples):
+        g = RDFGraph(triples)
+        closed = rdfs_closure_arrays(g)
+        assert closed == rdfs_closure_by_rules(g)
+        return closed
+
+    def test_sc_transitivity_reaches_a_literal(self):
+        a, b = URI("a"), URI("b")
+        closed = self._closes_like_rules(
+            [Triple(b, SC, a), Triple(a, SC, self.V)]
+        )
+        assert Triple(b, SC, self.V) in closed  # rule (4)
+
+    def test_type_lifts_to_a_literal_superclass(self):
+        a, x = URI("a"), URI("x")
+        closed = self._closes_like_rules(
+            [Triple(x, TYPE, a), Triple(a, SC, self.V)]
+        )
+        assert Triple(x, TYPE, self.V) in closed  # rule (5)
+
+    def test_literal_domain_and_range_still_type(self):
+        p, x, y = URI("p"), URI("x"), URI("y")
+        closed = self._closes_like_rules(
+            [Triple(p, DOM, self.V), Triple(p, RANGE, self.V),
+             Triple(x, p, y)]
+        )
+        assert Triple(x, TYPE, self.V) in closed  # rule (6)
+        assert Triple(y, TYPE, self.V) in closed  # rule (7)
+
+    def test_reflexivity_needs_a_well_formed_instantiation(self):
+        a = URI("a")
+        closed = self._closes_like_rules(
+            [Triple(a, SC, self.V), Triple(a, SP, self.V)]
+        )
+        # (11)/(13) would also conclude ("v" sp "v") / ("v" sc "v").
+        assert Triple(a, SC, a) not in closed
+        assert Triple(a, SP, a) not in closed

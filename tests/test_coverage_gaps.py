@@ -85,13 +85,6 @@ class TestStoreCornerCases:
         assert len(union.bnodes()) == 1
         assert len(merge.bnodes()) == 2
 
-    def test_save_empty_store(self, tmp_path):
-        from repro.store import TripleStore
-
-        TripleStore().save(tmp_path)
-        loaded = TripleStore.load(tmp_path)
-        assert len(loaded) == 0
-
     def test_entails_before_any_materialization(self):
         from repro.store import TripleStore
 

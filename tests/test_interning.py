@@ -1,13 +1,13 @@
 """Property tests for the dictionary-encoding layer (repro.core.interning).
 
-The encoded kernels must be *observationally invisible*: whatever runs
-over ``(int, int, int)`` rows has to decode to exactly the term-level
+Encoding must be *observationally invisible*: whatever runs over
+``(int, int, int)`` rows has to decode to exactly the term-level
 result.  Hypothesis drives random graphs — including the wild class
 with reserved vocabulary in subject/object positions and literal
-objects, which exercises the multi-round closure path — through every
-encode/compute/decode boundary.
+objects — through every encode/compute/decode boundary.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,14 +28,10 @@ from repro.core.interning import (
 from repro.core.terms import Variable, sort_key
 from repro.core.vocabulary import DOM, RANGE, SC, SP, TYPE
 from repro.semantics import closure as semantic_closure
-from repro.semantics.closure import (
-    rdfs_closure_boxed,
-    rdfs_closure_by_rules,
-    rdfs_closure_encoded,
-)
+from repro.semantics.closure import rdfs_closure_by_rules
 from repro.store import TripleStore
 
-from .strategies import rdfs_graphs, simple_graphs
+from .strategies import simple_graphs
 
 COMMON = dict(
     max_examples=40,
@@ -68,15 +64,13 @@ def wild_graphs(max_size: int = 5):
 def wild_graphs_without_literals(max_size: int = 5):
     """Wild graphs minus literal objects.
 
-    Literal objects on reserved-vocabulary edges sit outside the class
-    on which the repo's three closure engines were ever cross-validated
-    (and they do diverge there, in ways that pre-date this layer: the
-    rule engine applies (11)/(13) atomically where the staged and
-    Datalog engines derive the well-formed half; the staged engines
-    skip literal-valued ``dom``/``range`` conclusions).  Cross-engine
-    equality is therefore only claimed on the literal-free class; the
-    encoded-vs-boxed invariant — what this PR is answerable for — is
-    asserted on the full wild class.
+    Only the store needs this class.  Its Datalog program still reads
+    literal objects on reserved-vocabulary edges differently from the
+    rule system (see the two pinned cases in
+    :class:`TestStoreAgreement`), so store-vs-closure equality is
+    claimed on the literal-free class.  The closure kernels are checked
+    against the rule system on the full wild class (``test_columns.py``,
+    ``test_partitioned.py``).
     """
     literal_free = st.builds(
         Triple,
@@ -200,25 +194,6 @@ class TestEncodedGraph:
             assert got == expected
 
 
-class TestEncodedClosure:
-    @settings(**COMMON)
-    @given(wild_graphs())
-    def test_encoded_equals_boxed(self, g):
-        assert set(rdfs_closure_encoded(g)) == set(rdfs_closure_boxed(g))
-
-    @settings(**COMMON)
-    @given(wild_graphs_without_literals())
-    def test_encoded_equals_boxed_equals_rules(self, g):
-        encoded = rdfs_closure_encoded(g)
-        assert set(encoded) == set(rdfs_closure_boxed(g))
-        assert set(encoded) == set(rdfs_closure_by_rules(g))
-
-    @settings(**COMMON)
-    @given(rdfs_graphs())
-    def test_encoded_equals_boxed_on_tame_graphs(self, g):
-        assert set(rdfs_closure_encoded(g)) == set(rdfs_closure_boxed(g))
-
-
 class TestEncodedPlanner:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -272,3 +247,34 @@ class TestStoreAgreement:
         store.add_all(g)
         if not t.bnodes():
             assert store.entails(t) == (t in set(store.closure()))
+
+    # The store materializes through its Datalog program, which compiles
+    # rules (11)/(13) per conclusion and derives from ill-formed
+    # intermediates, so it diverges from the rule system on these two.
+    _STORE_DIVERGES = pytest.mark.xfail(
+        strict=True,
+        reason="store closure reads literal objects unlike the rule "
+        "system until ROADMAP item 12's maintenance, cross-checked "
+        "against the rule engine, replaces the Datalog program",
+    )
+
+    @_STORE_DIVERGES
+    def test_store_sc_literal_gives_no_reflexive_row(self):
+        # The store derives (a sc a) from (a sc "v").
+        g = RDFGraph([Triple(URI("a"), SC, Literal("v"))])
+        self._assert_store_closes_like_rules(g)
+
+    @_STORE_DIVERGES
+    def test_store_range_of_type_skips_literal_instances(self):
+        # The store derives (dom type dom) via ("v" type dom).
+        g = RDFGraph([
+            Triple(TYPE, RANGE, DOM),
+            Triple(URI("x"), TYPE, Literal("v")),
+        ])
+        self._assert_store_closes_like_rules(g)
+
+    @staticmethod
+    def _assert_store_closes_like_rules(g):
+        store = TripleStore()
+        store.add_all(g)
+        assert store.closure() == rdfs_closure_by_rules(g)

@@ -181,24 +181,6 @@ class TestTransactions:
         assert triple("c", "q", "d") not in store
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        store = schema_store()
-        store.add(triple("frida", "paints", "portrait"), graph="facts")
-        store.add(triple("x", "y", BNode("N")), graph="facts")
-        store.save(tmp_path)
-        loaded = TripleStore.load(tmp_path)
-        assert loaded.dataset() == store.dataset()
-        assert set(loaded.graph_names()) >= {"default", "facts"}
-
-    def test_loaded_store_reasons(self, tmp_path):
-        store = schema_store()
-        store.add(triple("frida", "paints", "portrait"))
-        store.save(tmp_path)
-        loaded = TripleStore.load(tmp_path)
-        assert loaded.entails(triple("frida", TYPE, "artist"))
-
-
 class TestDescribe:
     def test_describe_follows_blank_objects(self):
         store = TripleStore()
