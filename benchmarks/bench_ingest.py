@@ -1,25 +1,22 @@
 #!/usr/bin/env python3
-"""Ingest + partitioned-closure growth bench → ``BENCH_ingest.json``.
+"""Ingest + ``load --close`` growth bench → ``BENCH_ingest.json``.
 
-The scale-path measurements behind ROADMAP item 3:
+The scale-path measurements:
 
 * **ingest** — streaming bulk load (``repro.ingest.load_ntriples``) of
-  the deterministic synthetic ontology at growing sizes, serial and
-  parallel, reported as wall-clock and rows/s.  Near-linear ``load_ms``
-  growth across the size ladder is the claim under test.
-* **partitioned_closure** — ``rdfs_closure_partitioned`` vs the
-  single-shard ``rdfs_closure_arrays`` at sizes where both run
-  (identical graph-in/graph-out endpoints, so the ratio is honest),
-  then the partitioned kernel alone — straight from the loader's
-  encoded rows, no boxed graph — at sizes beyond the single-shard
-  ladder.
+  the deterministic synthetic ontology at growing sizes, reported as
+  wall-clock and rows/s.  Near-linear ``serial_ms`` growth across the
+  size ladder is the claim under test.
+* **load_close** — the closure ``repro load --close`` computes: the
+  ``arrays`` fixpoint (``rdfs_closure_rows``) straight from the
+  loader's encoded rows, no boxed graph.
 * **parse** — the one-shot ``parse_ntriples`` micro-benchmark guarding
   the streaming-tokenizer rewrite in ``rdfio/ntriples.py``.
 
-``--smoke`` runs the CI-sized variant (10⁵ triples, 2 workers,
-2 shards); the full run tops out at the 10⁶-triple load-and-close.
-Both emit the same JSON shape, sharing the 10⁵ row so
-``check_regression.py`` always has a common size to gate on.
+``--smoke`` runs the CI-sized variant (up to 10⁵ triples); the full
+run tops out at the 10⁶-triple load-and-close.  Both emit the same
+JSON shape, sharing the 10⁵ row so ``check_regression.py`` always has
+a common size to gate on.
 """
 
 import argparse
@@ -42,23 +39,13 @@ from bench_util import atomic_write_json
 from repro.generators import synthetic_ontology_lines, write_synthetic_ontology
 from repro.ingest import load_ntriples
 from repro.rdfio.ntriples import parse_ntriples
-from repro.semantics.closure import (
-    rdfs_closure_arrays,
-    rdfs_closure_partitioned,
-    rdfs_closure_partitioned_rows,
-)
+from repro.semantics.closure import rdfs_closure_rows
 
 #: Size ladders.  The smoke ladder stops at 10⁵ (CI-sized); the full
 #: ladder extends to the million-triple target.  Both contain 10⁵, so
 #: the regression gate always finds a common row.
 SMOKE_SIZES = [10_000, 100_000]
 FULL_SIZES = [100_000, 300_000, 1_000_000]
-
-#: Sizes at which the single-shard arrays kernel is also timed (the
-#: boxed-graph round trip is part of both measurements).  Beyond these
-#: the partitioned kernel runs alone, rows-level.
-SMOKE_ARRAYS_LIMIT = 100_000
-FULL_ARRAYS_LIMIT = 300_000
 
 PARSE_LINES = 20_000
 
@@ -79,87 +66,46 @@ def _best_of(fn, repeats):
     return best, result
 
 
-def bench_ingest(path, sizes, workers, repeats):
+def bench_ingest(path, sizes, repeats):
     rows = []
     for size in sizes:
         write_synthetic_ontology(path, size)
-        serial_ms, result = _best_of(
-            lambda: load_ntriples(path, workers=1), repeats
-        )
+        serial_ms, result = _best_of(lambda: load_ntriples(path), repeats)
         row = {
             "size": size,
             "triples": result.triples,
             "serial_ms": round(serial_ms, 1),
             "rows_per_s": round(size / (serial_ms / 1e3)),
-            "workers": workers,
-            "parallel_ms": None,
         }
-        if workers > 1:
-            parallel_ms, _ = _best_of(
-                lambda: load_ntriples(path, workers=workers), repeats
-            )
-            row["parallel_ms"] = round(parallel_ms, 1)
         rows.append(row)
         print(
             f"ingest    n={size:>9,}: serial {row['serial_ms']:>9.1f} ms "
             f"({row['rows_per_s']:,} rows/s)"
-            + (
-                f", {workers} workers {row['parallel_ms']:>9.1f} ms"
-                if row["parallel_ms"] is not None
-                else ""
-            )
         )
     return rows
 
 
-def bench_partitioned_closure(path, sizes, arrays_limit, shards, repeats):
+def bench_load_close(path, sizes, repeats):
     rows = []
     for size in sizes:
         write_synthetic_ontology(path, size)
-        loaded = load_ntriples(path, workers=1)
-        if size <= arrays_limit:
-            # Graph-level A/B: identical endpoints (boxed graph in,
-            # boxed graph out), so the ratio compares kernels only.
-            graph = loaded.graph()
-            arrays_ms, closed = _best_of(
-                lambda: rdfs_closure_arrays(graph), repeats
-            )
-            part_ms, _ = _best_of(
-                lambda: rdfs_closure_partitioned(graph, shards=shards),
-                repeats,
-            )
-            closure_rows = len(closed)
-            ratio = round(part_ms / arrays_ms, 3)
-        else:
-            # Beyond the single-shard ladder: rows-level, no boxed
-            # graph anywhere (that is the point of the scale path).
-            arrays_ms = None
-            ratio = None
-            part_ms, acc = _best_of(
-                lambda: rdfs_closure_partitioned_rows(
-                    loaded.runs.rows(), shards=shards
-                ),
-                repeats,
-            )
-            closure_rows = len(acc)
+        loaded = load_ntriples(path)
+        close_ms, acc = _best_of(
+            lambda: rdfs_closure_rows(loaded.runs.rows()), repeats
+        )
         rows.append({
             "size": size,
-            "closure_rows": closure_rows,
-            "shards": shards,
-            "partitioned_ms": round(part_ms, 1),
-            "arrays_ms": round(arrays_ms, 1) if arrays_ms is not None else None,
-            "ratio": ratio,
+            "closure_rows": len(acc),
+            "arrays_ms": round(close_ms, 1),
         })
         print(
-            f"closure   n={size:>9,}: partitioned({shards}) "
-            f"{part_ms:>9.1f} ms, arrays "
-            + (f"{arrays_ms:>9.1f} ms ({ratio}x)" if arrays_ms else "— (skipped)")
-            + f", |cl| = {closure_rows:,}"
+            f"close     n={size:>9,}: arrays {close_ms:>9.1f} ms, "
+            f"|cl| = {len(acc):,}"
         )
     return rows
 
 
-def bench_obs_overhead(path, shards):
+def bench_obs_overhead(path):
     """Interleaved A/B: plain vs obs-disabled ingest and close.
 
     Side A is the untouched call (instrumentation never enabled, no
@@ -175,7 +121,7 @@ def bench_obs_overhead(path, shards):
     from repro.obs.progress import ProgressReporter
 
     write_synthetic_ontology(path, OBS_OVERHEAD_SIZE)
-    base_rows = load_ntriples(path, workers=1).runs.rows()
+    base_rows = load_ntriples(path).runs.rows()
     reporter = ProgressReporter(enabled=False)
     obs.enable()
     obs.disable()
@@ -195,15 +141,13 @@ def bench_obs_overhead(path, shards):
     for workload, plain_fn, disabled_fn in (
         (
             f"ingest serial n={OBS_OVERHEAD_SIZE}",
-            lambda: load_ntriples(path, workers=1),
-            lambda: load_ntriples(path, workers=1, progress=reporter),
+            lambda: load_ntriples(path),
+            lambda: load_ntriples(path, progress=reporter),
         ),
         (
-            f"partitioned close n={OBS_OVERHEAD_SIZE}",
-            lambda: rdfs_closure_partitioned_rows(base_rows, shards=shards),
-            lambda: rdfs_closure_partitioned_rows(
-                base_rows, shards=shards, progress=reporter
-            ),
+            f"arrays close n={OBS_OVERHEAD_SIZE}",
+            lambda: rdfs_closure_rows(base_rows),
+            lambda: rdfs_closure_rows(base_rows, progress=reporter),
         ),
     ):
         plain_ms, disabled_ms = interleaved(plain_fn, disabled_fn)
@@ -236,40 +180,27 @@ def bench_parse(repeats):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: 1e5 triples, 2 workers, 2 shards",
+        "--smoke", action="store_true", help="CI-sized run: up to 1e5 triples"
     )
     ap.add_argument("--out", default="BENCH_ingest.json")
     args = ap.parse_args(argv)
 
-    if args.smoke:
-        sizes, arrays_limit = SMOKE_SIZES, SMOKE_ARRAYS_LIMIT
-        workers, shards, repeats = 2, 2, 1
-    else:
-        sizes, arrays_limit = FULL_SIZES, FULL_ARRAYS_LIMIT
-        workers, shards, repeats = 2, 4, 2
+    sizes, repeats = (SMOKE_SIZES, 1) if args.smoke else (FULL_SIZES, 2)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         path = os.path.join(tmp, "onto.nt")
         payload = {
             "meta": {
                 "mode": "smoke" if args.smoke else "full",
-                "workers": workers,
-                "shards": shards,
                 "repeats": repeats,
                 "python": sys.version.split()[0],
             },
-            "ingest": {
-                "rows": bench_ingest(path, sizes, workers, repeats)
-            },
-            "partitioned_closure": {
-                "rows": bench_partitioned_closure(
-                    path, sizes, arrays_limit, shards, repeats
-                )
+            "ingest": {"rows": bench_ingest(path, sizes, repeats)},
+            "load_close": {
+                "rows": bench_load_close(path, sizes, repeats)
             },
             "parse": bench_parse(max(repeats, 2)),
-            "obs_overhead": bench_obs_overhead(path, shards),
+            "obs_overhead": bench_obs_overhead(path),
         }
     atomic_write_json(args.out, payload)
     print(f"wrote {args.out}")

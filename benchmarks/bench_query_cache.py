@@ -5,13 +5,6 @@ Workloads over the closed synthetic ontology (the ingest family: fixed
 schema, near-linear closure), all against one :class:`TripleStore` with
 a warm normal form so only *serving* cost is measured:
 
-* **plan-hit** — a pool of selective join queries (the sp-lifted
-  ``related`` predicate: huge candidate domains; a leaf-class ``type``
-  pattern: few solutions) asked repeatedly.  Tier 1 is isolated via
-  ``answer_cache=False``: every request re-enumerates, but candidate
-  collection and arc consistency are reused.  Cold = cache disabled,
-  full prepare per request.
-
 * **containment-hit** — one general join query is admitted, then a
   stream of *distinct* subject-bound specializations is served by
   Theorem 5.5/5.7 certificates (filtering the cached valuation set)
@@ -100,23 +93,6 @@ def _best_of(fn, repeats):
 def _run_stream(store, stream):
     for q in stream:
         store.query(q)
-
-
-def bench_plan_tier(store, repeats):
-    # Selective *negative* probes: leaf classes whose tree offset is not
-    # a multiple of 8 have no members in the synthetic family, so the
-    # answer is empty — but a cold request still collects and
-    # arc-narrows the huge ``related`` candidate list to discover that.
-    # A plan hit replays the cached (empty-domain) conclusion.
-    pool = [selective_join(_LEAF_BASE + offset) for offset in (1, 2, 3, 5, 6, 7)]
-    store.disable_query_cache()
-    cold_ms = _best_of(lambda: _run_stream(store, pool), repeats)
-
-    store.enable_query_cache(answer_cache=False)
-    _run_stream(store, pool)  # warm the plans
-    cached_ms = _best_of(lambda: _run_stream(store, pool), repeats)
-    store.disable_query_cache()
-    return cold_ms, cached_ms, len(pool)
 
 
 def _merged_specializations(class_index):
@@ -235,18 +211,6 @@ def main(argv=None) -> int:
         store = TripleStore()
         store.add_all(synthetic_ontology_graph(n))
         store.normal_form()  # warm closure + core outside all timings
-
-        cold, cached, pool_size = bench_plan_tier(store, repeats)
-        rows.append(
-            {
-                "workload": "plan-hit",
-                "size": n,
-                "queries": pool_size,
-                "cold_ms": cold,
-                "cached_ms": cached,
-                "speedup": cold / cached if cached else None,
-            }
-        )
 
         containment = bench_containment_tier(store, repeats)
         if containment is not None:

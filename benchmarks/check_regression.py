@@ -20,7 +20,8 @@ With the optional second pair, the same largest-common-size / >3x rule
 also gates the scale path from ``BENCH_ingest.json`` (committed full
 run vs the CI ``bench_ingest.py --smoke`` rerun): streaming-ingest
 wall-clock (a 3x slowdown at a fixed size is a 3x throughput drop) and
-the partitioned closure kernel.  Both ladders always contain the
+the ``arrays`` closure that ``repro load --close`` runs on the loaded
+rows.  Both ladders always contain the
 10⁵-triple row precisely so this comparison has a common size.
 
 The gate fails (exit 1) on a >3x slowdown: CI runners are noisy, so
@@ -37,14 +38,14 @@ B sides share one runner and one moment, so the tight threshold is
 safe where a cross-run 1.1x would be noise.
 
 The fresh ``BENCH_ingest.json`` carries the analogous ``obs_overhead``
-section (bench_ingest.py): the telemetry-off ingest and partitioned
+section (bench_ingest.py): the telemetry-off ingest and ``arrays``
 close more than 1.1x slower than their interleaved plain twins fail
 the gate — the "near-free while off" promise of repro.obs, measured.
 
 With the optional third pair, ``BENCH_query.json`` (committed full run
 vs the CI ``bench_query_cache.py --smoke`` rerun) gates the query-cache
-serving path the same way: the *cached* timings of the plan-hit,
-containment-hit and zipf-stream rows at the largest common size (a 3x
+serving path the same way: the *cached* timings of the containment-hit
+and zipf-stream rows at the largest common size (a 3x
 slowdown on a cached hit means the fast path stopped being fast), plus
 a within-fresh check that ``store.query`` with *no* cache attached
 stays within 1.1x of a direct ``answers()`` call — the "free when
@@ -115,17 +116,16 @@ def _ingest_serial_series(payload):
     }
 
 
-def _partitioned_closure_series(payload):
-    """Partitioned-closure timings keyed by triple count, or {}."""
+def _load_close_series(payload):
+    """``load --close`` arrays-closure timings keyed by triple count."""
     try:
-        rows = payload["partitioned_closure"]["rows"]
+        rows = payload["load_close"]["rows"]
     except (KeyError, TypeError):
         return {}
     return {
-        row["size"]: row["partitioned_ms"]
+        row["size"]: row["arrays_ms"]
         for row in rows
-        if row.get("size") is not None
-        and row.get("partitioned_ms") is not None
+        if row.get("size") is not None and row.get("arrays_ms") is not None
     }
 
 
@@ -141,7 +141,7 @@ CHECKS = [
 #: Checks over the optional BENCH_ingest.json pair.
 INGEST_CHECKS = [
     ("streaming ingest serial", _ingest_serial_series),
-    ("partitioned closure", _partitioned_closure_series),
+    ("load --close arrays closure", _load_close_series),
 ]
 
 
@@ -159,10 +159,6 @@ def _query_cached_series(payload, workload):
     }
 
 
-def _query_plan_hit_series(payload):
-    return _query_cached_series(payload, "plan-hit")
-
-
 def _query_containment_hit_series(payload):
     return _query_cached_series(payload, "containment-hit")
 
@@ -175,7 +171,6 @@ def _query_zipf_series(payload):
 #: only: the cold columns re-measure paths the other gates already
 #: watch, but a cached-hit slowdown is *this* subsystem regressing.
 QUERY_CHECKS = [
-    ("query cache plan-hit", _query_plan_hit_series),
     ("query cache containment-hit", _query_containment_hit_series),
     ("query cache zipf-stream", _query_zipf_series),
 ]

@@ -231,11 +231,8 @@ def collect_metrics_snapshots():
       pipeline and the backtracking solver;
     * ``store`` — materialize, insert stream, one DRed deletion, then a
       short read loop against the dataset cache;
-    * ``ingest`` — a 2-worker smoke-sized bulk load plus a 2-shard
-      partitioned close, demonstrating the cross-process snapshot
-      merge: worker/shard counters arrive loss-free in the one parent
-      registry (``ingest.worker_snapshots``,
-      ``closure.partitioned.shard.<i>.*``).
+    * ``ingest`` — a smoke-sized bulk load plus the ``arrays`` close
+      that ``repro load --close`` runs on the loaded rows.
     """
     from repro import obs
     from repro.generators import blank_chain, random_digraph
@@ -286,13 +283,13 @@ def collect_metrics_snapshots():
 
         from repro.generators import write_synthetic_ontology
         from repro.ingest import load_ntriples
-        from repro.semantics.closure import rdfs_closure_partitioned_rows
+        from repro.semantics.closure import rdfs_closure_rows
 
         with tempfile.TemporaryDirectory(prefix="repro-obs-") as tmp:
             path = os.path.join(tmp, "onto.nt")
             write_synthetic_ontology(path, 10_000)
-            loaded = load_ntriples(path, workers=2)
-            rdfs_closure_partitioned_rows(loaded.runs.rows(), shards=2)
+            loaded = load_ntriples(path)
+            rdfs_closure_rows(loaded.runs.rows())
         snapshots["ingest"] = snap(registry, tracer)
 
     return snapshots

@@ -192,7 +192,7 @@ def cmd_query(args, out) -> int:
     database = _load_graph(args.graph)
 
     if getattr(args, "cached", False):
-        # Serve through a store with the two-tier query cache attached:
+        # Serve through a store with the query cache attached:
         # identical answers (property-tested), but repeated/subsumed
         # queries in one process are filtered from cached valuations
         # instead of re-searched.
@@ -255,7 +255,7 @@ def cmd_path(args, out) -> int:
 
 
 def cmd_load(args, out) -> int:
-    """Bulk-load an N-Triples file; optionally close it, partitioned."""
+    """Bulk-load an N-Triples file; optionally close it."""
     import time
 
     from .ingest import (
@@ -279,8 +279,11 @@ def cmd_load(args, out) -> int:
         t0 = time.perf_counter()
         result = load_ntriples(
             args.graph if args.graph != "-" else sys.stdin,
-            workers=args.parallel,
-            chunk_lines=args.chunk_lines or DEFAULT_CHUNK_LINES,
+            chunk_lines=(
+                DEFAULT_CHUNK_LINES
+                if args.chunk_lines is None
+                else args.chunk_lines
+            ),
             strict=not args.tolerant,
             max_memory_mb=max_memory_mb,
             progress=progress,
@@ -294,18 +297,12 @@ def cmd_load(args, out) -> int:
         out.write(f"terms interned:     {len(result.terms)}\n")
         out.write(f"load ms:            {load_ms:.1f}\n")
         if args.close:
-            from .semantics.closure import rdfs_closure_partitioned_rows
+            from .semantics.closure import rdfs_closure_rows
 
             t1 = time.perf_counter()
-            acc = rdfs_closure_partitioned_rows(
-                result.runs.rows(),
-                shards=args.shards,
-                max_memory_mb=max_memory_mb,
-                progress=progress,
-            )
+            acc = rdfs_closure_rows(result.runs.rows(), progress=progress)
             close_ms = (time.perf_counter() - t1) * 1000.0
             out.write(f"closure rows:       {len(acc)}\n")
-            out.write(f"closure shards:     {args.shards}\n")
             out.write(f"close ms:           {close_ms:.1f}\n")
     if args.store:
         # Persist the loaded graph into a durable store directory: one
@@ -482,17 +479,9 @@ def cmd_stats(args, out) -> int:
         HITS,
         INVALIDATIONS,
         MISSES,
-        PLAN_HITS,
     )
 
-    for name in (
-        HITS,
-        MISSES,
-        CONTAINMENT_HITS,
-        PLAN_HITS,
-        INVALIDATIONS,
-        EVICTIONS,
-    ):
+    for name in (HITS, MISSES, CONTAINMENT_HITS, INVALIDATIONS, EVICTIONS):
         key = f"{name}:"
         out.write(f"{key:32s}{int(store.metrics.counter(name))}\n")
     return 0
@@ -609,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cached",
         action="store_true",
-        help="serve via TripleStore.query with the two-tier query cache",
+        help="serve via TripleStore.query with the query cache",
     )
     _add_budget_flags(p)
     _add_trace_flag(p)
@@ -630,27 +619,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "load",
-        help="bulk-load an N-Triples file (streaming, optionally parallel)",
+        help="bulk-load an N-Triples file (streaming)",
         description="Streaming bulk ingest: chunk-parse FILE into "
-        "dictionary-encoded sorted runs (repro.ingest), optionally in "
-        "parallel worker processes, and report throughput.  --close "
-        "additionally computes the RDFS closure with the partitioned "
-        "kernel; --out writes the (closed) graph back out.",
+        "dictionary-encoded sorted runs (repro.ingest) and report "
+        "throughput.  --close additionally computes the RDFS closure "
+        "of the loaded rows; --out writes the (closed) graph back out.",
     )
     p.add_argument("graph", help="N-Triples file, or - for stdin")
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse chunks across N worker processes (default 1)",
-    )
     p.add_argument(
         "--chunk-lines",
         type=int,
         default=None,
         metavar="N",
-        help="lines per parse chunk",
+        help="lines per parse chunk (>= 1)",
     )
     p.add_argument(
         "--tolerant",
@@ -662,20 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="MB",
-        help="spill pending runs / cold shards to temp files beyond "
-        "this budget (default: 512; 0 = unbounded)",
+        help="spill pending runs to temp files beyond this budget "
+        "(default: 512; 0 = unbounded)",
     )
     p.add_argument(
         "--close",
         action="store_true",
-        help="also compute the RDFS closure (partitioned kernel)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        metavar="K",
-        help="with --close: number of closure partitions (default 4)",
+        help="also compute the RDFS closure of the loaded rows",
     )
     p.add_argument(
         "--progress",

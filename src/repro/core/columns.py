@@ -175,8 +175,7 @@ def merge_union_many(sorted_lists: Sequence[List]) -> List:
 
     Binary merges for up to two inputs; a ``heapq.merge`` k-way pass
     with adjacent-duplicate suppression beyond that — the merge step of
-    the spill pool (:mod:`repro.ingest.spill`) and of the partitioned
-    closure's final shard collection.
+    the spill pool (:mod:`repro.ingest.spill`).
     """
     live = [lst for lst in sorted_lists if lst]
     if not live:
@@ -462,27 +461,6 @@ class SortedRuns:
 
     def difference(self, other: "SortedRuns") -> "SortedRuns":
         return SortedRuns(merge_diff_sorted(self._rows, other._rows))
-
-    # -- spill (de)serialization ----------------------------------------
-
-    def tofile(self, f) -> int:
-        """Serialize to a binary file as one flat ``array('q')`` of
-        ``3 * len(self)`` interleaved (s, p, o) values; returns the row
-        count the caller must remember to :meth:`fromfile` it back.
-
-        The sort order survives the round trip (rows are written in SPO
-        order), so reloading costs one pass — no re-sort, no re-dedup.
-        """
-        rows_to_array(self._rows).tofile(f)
-        return len(self._rows)
-
-    @classmethod
-    def fromfile(cls, f, n_rows: int) -> "SortedRuns":
-        """Reload a relation spilled by :meth:`tofile` (trusted: the
-        file holds exactly *n_rows* rows, sorted and duplicate-free)."""
-        flat = array("q")
-        flat.fromfile(f, 3 * n_rows)
-        return cls(rows_from_array(flat))
 
     # -- pattern ranges -------------------------------------------------
 

@@ -379,22 +379,6 @@ class TermDict:
 
     # -- introspection -----------------------------------------------------
 
-    def pool_values(self) -> Tuple[List[str], List[str], List[str]]:
-        """Raw string values of the URI / BNode / Literal pools, in
-        interning order.
-
-        This is the wire format of the parallel loader's ID-remap step:
-        a worker ships its local dict as three string lists (cheap to
-        pickle) and the parent reconstructs terms and re-interns them in
-        the same order, so local ID ``base + i`` maps to the shared ID
-        of ``pool[i]``.
-        """
-        return (
-            [t.value for t in self._uris],
-            [t.value for t in self._bnodes],
-            [t.value for t in self._literals],
-        )
-
     def pool_sizes(self) -> Tuple[int, int, int]:
         """Current (URI, BNode, Literal) pool lengths — a high-water
         mark for :meth:`pool_records_since`."""

@@ -888,26 +888,6 @@ def explain(
     return _PreparedMatch(pattern, target, frozen, partial).plan()
 
 
-def prepare_match(
-    pattern: Sequence[Triple],
-    target: RDFGraph,
-    frozen: Iterable[Term] = (),
-    partial: Optional[Dict[Term, Term]] = None,
-    exclude: Optional[Triple] = None,
-) -> _PreparedMatch:
-    """Plan once, enumerate many times.
-
-    Returns the prepared pattern/target pair whose
-    :meth:`~_PreparedMatch.assignments` can be re-called — each call
-    starts a fresh deterministic enumeration over the same planned
-    state (component split, arc-consistent domains, strategies).  The
-    query-plan cache holds these so repeated traffic skips the prepare
-    phase entirely; the prepared state is only valid as long as the
-    matchings of *pattern* into *target* are unchanged.
-    """
-    return _PreparedMatch(pattern, target, frozen, partial, exclude)
-
-
 def boolean_match_acyclic(
     pattern: Sequence[Triple], target: RDFGraph
 ) -> Optional[bool]:

@@ -1,11 +1,11 @@
 """Streaming bulk ingest: chunked parse → encode → sorted runs.
 
-The scale path for loading large N-Triples files (ROADMAP item 3):
-:func:`load_ntriples` streams a file in chunks, optionally parses them
-in parallel worker processes, dictionary-encodes with a deterministic
-ID-remap merge, and lands rows as sorted runs in a memory-bounded
-:class:`RunPool` — ready for the array-native and partitioned closure
-kernels without ever materializing a boxed graph.
+The scale path for loading large N-Triples files:
+:func:`load_ntriples` streams a file in chunks, dictionary-encodes each
+chunk into one shared term dictionary, and lands rows as sorted runs in
+a memory-bounded :class:`RunPool` — ready for the array-native closure
+kernel (:func:`repro.semantics.closure.rdfs_closure_rows`) without ever
+materializing a boxed graph.
 """
 
 from .loader import (

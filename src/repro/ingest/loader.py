@@ -1,43 +1,34 @@
-"""Streaming, optionally parallel, N-Triples bulk loader.
+"""Streaming N-Triples bulk loader.
 
 The one-shot :func:`repro.rdfio.parse_ntriples` path materializes the
 whole text, the whole triple list and a fully indexed
 :class:`~repro.core.graph.RDFGraph` — three copies of the data, none of
-them the representation the closure kernels want.  This loader is the
-scale path (ROADMAP item 3): it reads the file in chunks of lines,
-parses and dictionary-encodes each chunk, and lands the result directly
+them the representation the closure kernel wants.  This loader is the
+scale path: it reads the file in chunks of lines, parses and
+dictionary-encodes each chunk into one shared vocabulary-seeded
+:class:`~repro.core.interning.TermDict`, and lands the result directly
 as sorted runs of ``(int, int, int)`` rows in a budgeted
-:class:`~repro.ingest.spill.RunPool` — the exact substrate of the
-``arrays`` and partitioned closure kernels.  Boxed terms exist only
-transiently inside a chunk.
+:class:`~repro.ingest.spill.RunPool` — the exact input of
+:func:`repro.semantics.closure.rdfs_closure_rows`.  Boxed terms exist
+only transiently inside a chunk.
 
-Parallel mode (``workers > 1``) fans chunks out over a
-``multiprocessing`` pool.  Each worker parses with a **local**
-:class:`~repro.core.interning.TermDict` and returns its three string
-pools plus locally-encoded rows; the parent then replays each pool into
-the shared dict **in chunk-index order** (the ID-remap step).  Because
-a local pool lists values in first-appearance order and chunks are
-remapped in file order, the shared dict's within-kind ID order equals
-the file's first-appearance order — *independent of the worker count
-and the chunk size*.  Loading the same file with any ``workers`` /
-``chunk_lines`` therefore yields bit-identical encoded rows, which the
-parity suite (``tests/test_partitioned.py``) pins down.
+Terms are interned in file order, so the dictionary's IDs — and hence
+the encoded rows — are the same for every ``chunk_lines``, which the
+loader suite (``tests/test_partitioned.py``) pins down.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..core.columns import Row, SortedRuns
+from ..core.columns import SortedRuns
 from ..core.graph import RDFGraph
-from ..core.interning import BNODE_BASE, LITERAL_BASE, TermDict
-from ..core.terms import BNode, Literal, URI
-from ..obs import OBS, MetricsRegistry, Tracer
+from ..core.interning import TermDict
+from ..obs import OBS
 from ..obs.progress import ProgressReporter, current_progress
 from ..rdfio.ntriples import ParseIssue, iter_ntriples
 from .spill import RunPool
@@ -49,9 +40,9 @@ __all__ = [
     "DEFAULT_MAX_MEMORY_MB",
 ]
 
-#: Lines per parse chunk.  Large enough that per-chunk overhead (local
-#: dict, remap, sort) amortizes; small enough that a chunk's boxed
-#: terms are a bounded transient.
+#: Lines per parse chunk.  Large enough that per-chunk overhead (sort,
+#: run bookkeeping) amortizes; small enough that a chunk's boxed terms
+#: are a bounded transient.
 DEFAULT_CHUNK_LINES = 50_000
 
 #: Default budget for the pending-run pool before runs spill to disk.
@@ -97,113 +88,17 @@ class IngestResult:
         )
 
 
-# -- chunking ----------------------------------------------------------
-
-#: (index, lines, start_line, strict, collect_obs)
-_Chunk = Tuple[int, List[str], int, bool, bool]
-
-
 def _chunks(
-    lines: Iterator[str], chunk_lines: int, strict: bool, collect_obs: bool
-) -> Iterator[_Chunk]:
-    index = 0
+    lines: Iterator[str], chunk_lines: int
+) -> Iterator[Tuple[List[str], int]]:
+    """``(lines, first_line_number)`` per chunk of *chunk_lines* lines."""
     start = 1
     while True:
         chunk = list(islice(lines, chunk_lines))
         if not chunk:
             return
-        yield (index, chunk, start, strict, collect_obs)
-        index += 1
+        yield chunk, start
         start += len(chunk)
-
-
-# -- the worker half (runs in child processes) -------------------------
-
-def _parse_chunk(task: _Chunk):
-    """Parse one chunk against a fresh local dict (child-process body).
-
-    Returns ``(index, uris, bnodes, literals, rows, issues, n_lines,
-    obs_payload)`` where the pools are raw string values in local
-    interning order and *rows* are sorted unique local-ID rows.
-    Everything is primitives, so the pickle across the process boundary
-    is cheap; a strict-mode :class:`~repro.rdfio.ntriples.ParseError`
-    propagates to the parent (it pickles by its three original fields).
-
-    With ``collect_obs`` set (the parent had instrumentation on), the
-    chunk is measured against a **private** registry/tracer pair —
-    counters incremented in a forked worker would otherwise die with
-    the worker — and their plain-dict snapshots ride home on the same
-    result tuple, where the parent merges them loss-free
-    (:meth:`MetricsRegistry.merge` / :meth:`Tracer.merge`).
-    """
-    index, lines, start, strict, collect_obs = task
-    issues: List[ParseIssue] = []
-    local = TermDict()
-    obs_payload = None
-    if collect_obs:
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        with tracer.span("ingest.chunk", chunk=index, pid=os.getpid()):
-            with registry.timer("ingest.chunk_parse_ms"):
-                rows = local.encode_rows(
-                    iter_ntriples(
-                        lines, strict=strict, issues=issues, start=start
-                    )
-                )
-                rows = sorted(set(rows))
-        registry.inc("ingest.lines", len(lines))
-        registry.inc("ingest.chunks")
-        registry.inc("ingest.skipped_lines", len(issues))
-        obs_payload = (registry.snapshot(), tracer.snapshot(), os.getpid())
-    else:
-        rows = sorted(set(local.encode_rows(
-            iter_ntriples(lines, strict=strict, issues=issues, start=start)
-        )))
-    uris, bnodes, literals = local.pool_values()
-    return (
-        index,
-        uris,
-        bnodes,
-        literals,
-        rows,
-        tuple(issues),
-        len(lines),
-        obs_payload,
-    )
-
-
-# -- the parent half: deterministic ID remap ---------------------------
-
-def _remap_rows(
-    terms: TermDict,
-    uris: List[str],
-    bnodes: List[str],
-    literals: List[str],
-    rows: List[Row],
-) -> List[Row]:
-    """Replay a worker's local pools into the shared dict and rewrite
-    its rows, re-sorted (the remap is injective but not monotonic)."""
-    intern = terms._intern
-    u = [intern(URI(v)) for v in uris]
-    b = [intern(BNode(v)) for v in bnodes]
-    lit = [intern(Literal(v)) for v in literals]
-    terms.encodes += len(u) + len(b) + len(lit)
-    out: List[Row] = []
-    push = out.append
-    for s, p, o in rows:
-        push((
-            u[s] if s < BNODE_BASE
-            else b[s - BNODE_BASE] if s < LITERAL_BASE
-            else lit[s - LITERAL_BASE],
-            u[p] if p < BNODE_BASE
-            else b[p - BNODE_BASE] if p < LITERAL_BASE
-            else lit[p - LITERAL_BASE],
-            u[o] if o < BNODE_BASE
-            else b[o - BNODE_BASE] if o < LITERAL_BASE
-            else lit[o - LITERAL_BASE],
-        ))
-    out.sort()
-    return out
 
 
 def _line_iter(source) -> Tuple[Iterator[str], Optional[IO]]:
@@ -220,7 +115,6 @@ def _line_iter(source) -> Tuple[Iterator[str], Optional[IO]]:
 
 def load_ntriples(
     source: Union[str, os.PathLike, IO[str], Iterable[str]],
-    workers: int = 1,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
     strict: bool = True,
     max_memory_mb: Optional[int] = DEFAULT_MAX_MEMORY_MB,
@@ -231,24 +125,19 @@ def load_ntriples(
     """Bulk-load N-Triples-style input into encoded sorted runs.
 
     *source* is a filesystem path, an open text file, or any iterable
-    of lines.  ``workers=1`` (the default) parses in-process, encoding
-    straight into the shared dict; ``workers > 1`` fans chunks out over
-    a process pool with the deterministic ID-remap merge (see module
-    docstring).  ``strict=False`` skips malformed lines and reports
-    them in ``result.issues``.  ``max_memory_mb`` bounds the
-    pending-run pool (``None`` disables spilling); *term_dict* lets a
-    caller accumulate several files into one shared dict.
+    of lines, parsed *chunk_lines* (≥ 1) lines at a time.
+    ``strict=False`` skips malformed lines and reports them in
+    ``result.issues``.  ``max_memory_mb`` bounds the pending-run pool
+    (``None`` disables spilling); *term_dict* lets a caller accumulate
+    several files into one shared dict.
 
     *progress* (or the ambient reporter from
     :func:`repro.obs.progress.progress_scope`) receives one
     rate-limited heartbeat per chunk: lines, chunks, pending rows,
-    spills, lines/s.  With instrumentation on, multi-worker runs merge
-    each worker's registry/tracer snapshot back into the global pair as
-    results arrive, so the ``ingest.*`` counters are loss-free and
-    equal to a single-process run's over the same input — the
-    per-chunk accounting below and in :func:`_parse_chunk` is
-    deliberately identical.
+    spills, lines/s.
     """
+    if chunk_lines < 1:
+        raise ValueError(f"chunk_lines must be >= 1, got {chunk_lines}")
     terms = term_dict if term_dict is not None else TermDict()
     encodes_before = terms.encodes
     lines, handle = _line_iter(source)
@@ -273,66 +162,30 @@ def load_ntriples(
             rows=pool.in_memory_rows + pool.spilled_rows,
             spills=pool.spills,
             lines_per_s=round(total_lines / elapsed) if elapsed > 0 else 0,
-            workers=workers,
         )
 
     try:
-        with OBS.span("ingest.load", workers=workers) as span:
-            if workers <= 1:
-                registry = OBS.registry
-                for _, chunk, start, _, _ in _chunks(
-                    lines, chunk_lines, strict, False
-                ):
-                    chunks += 1
-                    total_lines += len(chunk)
-                    skipped_before = len(issues)
-                    with registry.timer("ingest.chunk_parse_ms"):
-                        rows = terms.encode_rows(
-                            iter_ntriples(
-                                chunk, strict=strict,
-                                issues=issues, start=start,
-                            )
+        with OBS.span("ingest.load") as span:
+            registry = OBS.registry
+            for chunk, start in _chunks(lines, chunk_lines):
+                chunks += 1
+                total_lines += len(chunk)
+                skipped_before = len(issues)
+                with registry.timer("ingest.chunk_parse_ms"):
+                    rows = terms.encode_rows(
+                        iter_ntriples(
+                            chunk, strict=strict, issues=issues, start=start
                         )
-                        rows = sorted(set(rows))
-                    pool.add(rows)
-                    if OBS.enabled:
-                        registry.inc("ingest.lines", len(chunk))
-                        registry.inc("ingest.chunks")
-                        registry.inc(
-                            "ingest.skipped_lines",
-                            len(issues) - skipped_before,
-                        )
-                    heartbeat()
-            else:
-                ctx = multiprocessing.get_context("fork")
-                task_iter = _chunks(
-                    lines, chunk_lines, strict, OBS.enabled
-                )
-                with ctx.Pool(processes=workers) as procs:
-                    while True:
-                        # Waves of 2x the worker count keep every child
-                        # busy without buffering the whole file the way
-                        # an eager imap feeder thread would.
-                        wave = list(islice(task_iter, 2 * workers))
-                        if not wave:
-                            break
-                        for result in procs.map(_parse_chunk, wave):
-                            (_, uris, bnodes, lits, rows,
-                             chunk_issues, n_lines, obs_payload) = result
-                            chunks += 1
-                            total_lines += n_lines
-                            issues.extend(chunk_issues)
-                            pool.add(
-                                _remap_rows(terms, uris, bnodes, lits, rows)
-                            )
-                            if obs_payload is not None and OBS.enabled:
-                                reg_snap, trace_snap, pid = obs_payload
-                                OBS.registry.merge(reg_snap)
-                                OBS.registry.inc("ingest.worker_snapshots")
-                                OBS.tracer.merge(
-                                    trace_snap, label=f"worker-{pid}"
-                                )
-                            heartbeat()
+                    )
+                    rows = sorted(set(rows))
+                pool.add(rows)
+                if OBS.enabled:
+                    registry.inc("ingest.lines", len(chunk))
+                    registry.inc("ingest.chunks")
+                    registry.inc(
+                        "ingest.skipped_lines", len(issues) - skipped_before
+                    )
+                heartbeat()
             merged = pool.merge()
             spills = pool.spills
             span.annotate(lines=total_lines, rows=len(merged), spills=spills)

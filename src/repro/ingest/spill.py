@@ -12,10 +12,6 @@ to a temp file as one flat ``array('q')`` (the
 adjacent-duplicate suppression that *streams* spilled runs back in
 fixed-size blocks, so peak memory during the merge is one output list
 plus one block per spilled file — never the full spilled volume.
-
-The same flat-array format backs :meth:`SortedRuns.tofile` /
-:meth:`SortedRuns.fromfile`, which the partitioned closure kernel uses
-to park cold shards on disk between rounds.
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ STANDARD_COUNTERS = (
     "closure.rounds",
     "closure.derived_triples",
     "closure.dispatch.arrays",
-    "closure.dispatch.partitioned",
     "closure.kernel.arrays.batch_rows",
     "closure.kernel.arrays.delta_rows",
     "columns.mergejoin.probes",
@@ -89,10 +88,6 @@ STANDARD_COUNTERS = (
     "ingest.rows",
     "ingest.skipped_lines",
     "ingest.spilled_runs",
-    "ingest.worker_snapshots",
-    "closure.partitioned.rounds",
-    "closure.partitioned.exchanged_rows",
-    "closure.partitioned.spilled_shards",
     "datalog.rounds",
     "datalog.derived",
     "datalog.batch_rows",
@@ -119,7 +114,6 @@ STANDARD_COUNTERS = (
     "query.cache.hits",
     "query.cache.misses",
     "query.cache.containment_hits",
-    "query.cache.plan_hits",
     "query.cache.invalidations",
     "query.cache.evictions",
     "guard.checks",

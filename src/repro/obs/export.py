@@ -11,9 +11,8 @@ Two formats, both zero-dependency:
 * :func:`chrome_trace` — Chrome ``trace_event`` JSON over a tracer
   snapshot, loadable in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``.  Spans become complete ("X") events; merged
-  worker/shard spans carry a ``track`` attribute and are laid out on
-  their own named thread rows, so a 2-worker ingest renders as three
-  parallel swimlanes.
+  spans that carry a ``track`` attribute are laid out on their own
+  named thread rows.
 
 Both accept either the live object or its plain-dict snapshot, so
 they work equally on an in-process registry and on a snapshot JSON
@@ -96,7 +95,7 @@ def chrome_trace(source: Union[Tracer, List[Dict]]) -> Dict:
 
     Every span becomes one complete ("X") event with microsecond
     ``ts``/``dur``.  Events whose attrs carry a ``track`` label (set by
-    :meth:`Tracer.merge` for worker/shard snapshots) get their own
+    :meth:`Tracer.merge` for labeled foreign snapshots) get their own
     ``tid`` with a thread_name metadata record, so Perfetto renders
     each source as its own swimlane; unlabeled (parent) spans share
     tid 0.  Serialize with ``json.dump`` or use

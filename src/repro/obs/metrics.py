@@ -73,33 +73,6 @@ class Histogram:
             "buckets": buckets,
         }
 
-    def merge_dict(self, snapshot: Dict) -> None:
-        """Add a :meth:`to_dict` snapshot into this histogram, loss-free.
-
-        Bucket counts add, count/sum add, min/max widen.  The snapshot
-        must have been taken over the same bucket boundaries (all
-        registries in this library use :data:`DEFAULT_BUCKETS`);
-        mismatched boundaries raise ``ValueError`` rather than silently
-        misbinning.
-        """
-        theirs = snapshot["buckets"]
-        expected = [str(b) for b in self.buckets] + ["+Inf"]
-        if sorted(theirs) != sorted(expected):
-            raise ValueError(
-                "histogram bucket boundaries differ; cannot merge "
-                f"{sorted(theirs)} into {expected}"
-            )
-        for i, key in enumerate(expected):
-            self.counts[i] += theirs[key]
-        self.count += snapshot["count"]
-        self.total += snapshot["sum"]
-        if snapshot["min"] is not None:
-            if self.min is None or snapshot["min"] < self.min:
-                self.min = snapshot["min"]
-        if snapshot["max"] is not None:
-            if self.max is None or snapshot["max"] > self.max:
-                self.max = snapshot["max"]
-
 
 class _Timer:
     """Context manager: observes elapsed milliseconds into a histogram."""
@@ -195,38 +168,6 @@ class MetricsRegistry:
         if not self.enabled:
             return _NULL_TIMER
         return _Timer(self, name)
-
-    def merge(self, snapshot: Dict, prefix: str = "") -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The cross-process aggregation protocol: ingest workers and
-        closure shards snapshot their private registry, ship the plain
-        dict over the result pipe, and the parent merges — **counters
-        sum**, **gauges take the incoming value** (labeled last-writer:
-        give each source its own *prefix* when the per-source value
-        matters), **histogram buckets add** (same boundaries required).
-        Merging is commutative over counters and histograms, so the
-        merged totals are independent of worker scheduling — the same
-        determinism argument as the loader's TermDict ID-remap.
-
-        *prefix* is prepended to every incoming name (e.g.
-        ``"ingest.worker.3."``) to keep per-source series distinct; an
-        empty prefix folds into the shared series.  A disabled registry
-        ignores the merge entirely.
-        """
-        if not self.enabled:
-            return
-        for name, value in snapshot.get("counters", {}).items():
-            key = prefix + name
-            self._counters[key] = self._counters.get(key, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            self._gauges[prefix + name] = value
-        for name, hist_dict in snapshot.get("histograms", {}).items():
-            key = prefix + name
-            hist = self._histograms.get(key)
-            if hist is None:
-                hist = self._histograms[key] = Histogram()
-            hist.merge_dict(hist_dict)
 
     def reset(self) -> None:
         self._counters.clear()

@@ -158,21 +158,18 @@ class Tracer:
     def merge(self, events: List[Dict], label: str = "") -> None:
         """Append another tracer's :meth:`snapshot` to this event list.
 
-        The cross-process half of the telemetry pipeline: a worker (or
-        shard) snapshots its private tracer, the plain dicts travel
-        over the result pipe, and the parent folds them in here.  The
-        foreign events keep their internal parent links (re-based onto
-        this tracer's index space); top-level foreign spans become
-        children of the currently open span, so a worker's chunk spans
-        nest under the parent's ``ingest.load``.
+        The door for spans recorded elsewhere — by another tracer, or
+        before this one existed (a benchmark folds its import time in
+        this way).  The foreign events keep their internal parent links
+        (re-based onto this tracer's index space); top-level foreign
+        spans become children of the currently open span.
 
-        Foreign timestamps are measured against the *worker's* clock
-        origin, which is incomparable with ours — they are re-based so
-        the last foreign span ends at the merge instant.  That keeps
-        every event on one monotonic timeline (what the Chrome-trace
-        exporter needs) at the cost of showing worker work at its
-        *delivery* time rather than its true wall-clock slot; the
-        ``track`` attribute (*label*) preserves which source it was.
+        Foreign timestamps are measured against another clock origin,
+        which is incomparable with ours — they are re-based so the last
+        foreign span ends at the merge instant.  That keeps every event
+        on one monotonic timeline (what the Chrome-trace exporter
+        needs); the ``track`` attribute (*label*) preserves which
+        source it was.
         """
         if not self.enabled or not events:
             return

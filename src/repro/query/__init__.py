@@ -16,7 +16,7 @@ from .answers import (
     single_answer,
     skolem_term,
 )
-from .cache import QueryCache, canonical_body
+from .cache import QueryCache
 from .containment import (
     body_substitutions,
     contained_entailment,
@@ -59,7 +59,6 @@ __all__ = [
     "answer_union",
     "answers",
     "answers_from_valuations",
-    "canonical_body",
     "pre_answers_from_valuations",
     "body_substitutions",
     "contained_entailment",

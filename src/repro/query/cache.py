@@ -1,31 +1,21 @@
-"""Two-tier query cache: prepared plans + semantic answers (Section 5 applied).
+"""Semantic answer cache (Section 5 applied).
 
-Serving layer for :meth:`repro.store.TripleStore.query`.  Two tiers:
-
-* **Tier 1 — plan cache.**  Query bodies are canonicalized into a
-  *shape key* (body triples sorted by constant/variable template,
-  variables renamed ``V0, V1, ...`` by first occurrence, constants
-  parameterized out into a tuple), so repeated traffic — including
-  alpha-variant restatements of the same query — reuses the
-  :func:`repro.core.planner.prepare_match` planner state instead of
-  re-running candidate collection and arc consistency.
-
-* **Tier 2 — semantic answer cache.**  Each evaluated body caches its
-  full *unfiltered* valuation set (every matching ``v`` with
-  ``v(B) ⊆ nf(D)``, before the constraint filter).  An incoming query
-  is admitted against a cached entry by a Theorem 5.5/5.7-style
-  certificate: a substitution σ of the entry body ``B′``'s variables
-  with ``σ(B′) = B`` *exactly* (as triple sets; σ may merge variables
-  or bind them to constants).  This is the fragment of the theorem's
-  ``θ(B′) ⊆ nf(B)`` condition under which cached valuations can be
-  *completely* re-targeted: for any matching ``w`` of ``B′``,
-  ``w ∘ σ`` restricted consistently is a matching of ``B``, and
-  conversely every matching ``v`` of ``B`` arises as ``v ∘ σ`` — so
-  filtering the cached valuation list yields exactly the matchings of
-  ``B``, a scan instead of a search.  The incoming query's *own* head,
-  constraints and Skolem functions are then applied via
-  :func:`repro.query.answers.answers_from_valuations`, making cached
-  answers byte-identical to uncached ones.
+Serving layer for :meth:`repro.store.TripleStore.query`.  Each
+evaluated body caches its full *unfiltered* valuation set (every
+matching ``v`` with ``v(B) ⊆ nf(D)``, before the constraint filter).
+An incoming query is admitted against a cached entry by a Theorem
+5.5/5.7-style certificate: a substitution σ of the entry body ``B′``'s
+variables with ``σ(B′) = B`` *exactly* (as triple sets; σ may merge
+variables or bind them to constants).  This is the fragment of the
+theorem's ``θ(B′) ⊆ nf(B)`` condition under which cached valuations
+can be *completely* re-targeted: for any matching ``w`` of ``B′``,
+``w ∘ σ`` restricted consistently is a matching of ``B``, and
+conversely every matching ``v`` of ``B`` arises as ``v ∘ σ`` — so
+filtering the cached valuation list yields exactly the matchings of
+``B``, a scan instead of a search.  The incoming query's *own* head,
+constraints and Skolem functions are then applied via
+:func:`repro.query.answers.answers_from_valuations`, making cached
+answers byte-identical to uncached ones.
 
 The certificate search reuses the containment module's frozen-variable
 machinery (``B``'s variables frozen as reserved URIs, ``B′`` matched
@@ -38,16 +28,15 @@ pipeline reports each batched delta's *net closure row changes*
 ``retract_fixpoint_into``).  For a ground dataset ``nf = cl`` (a ground
 graph is its own core), so an entry's valuations can only change when a
 changed closure row *matches one of its body patterns* — constants must
-equal the row's interned IDs, variables match anything.  Entries and
-plans whose patterns overlap no changed row survive the delta; the rest
-are dropped.  Datasets containing blank nodes get a conservative full
+equal the row's interned IDs, variables match anything.  Entries whose
+patterns overlap no changed row survive the delta; the rest are
+dropped.  Datasets containing blank nodes get a conservative full
 flush (core folding can propagate a delta across predicates), as do
 oversized deltas and recovery paths.  A monotonic store version guards
 every read as a belt-and-braces check.
 
 Eviction: LRU over answer entries under a byte budget (valuations and
-memoized answer graphs are size-estimated) and an entry cap; plans have
-their own LRU cap.
+memoized answer graphs are size-estimated) and an entry cap.
 """
 
 from __future__ import annotations
@@ -56,7 +45,6 @@ from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.graph import RDFGraph
-from ..core.planner import prepare_match
 from ..core.homomorphism import iter_assignments
 from ..core.terms import Term, Triple, Variable
 from .answers import answers_from_valuations
@@ -64,13 +52,12 @@ from .containment import _escape_term, _freeze_pattern, _thaw_term
 from .matching import Valuation
 from .tableau import PatternGraph, Query
 
-__all__ = ["QueryCache", "canonical_body"]
+__all__ = ["QueryCache"]
 
 #: Counter names (declared at zero in repro.obs.STANDARD_COUNTERS).
 HITS = "query.cache.hits"
 MISSES = "query.cache.misses"
 CONTAINMENT_HITS = "query.cache.containment_hits"
-PLAN_HITS = "query.cache.plan_hits"
 INVALIDATIONS = "query.cache.invalidations"
 EVICTIONS = "query.cache.evictions"
 
@@ -83,51 +70,6 @@ _CERTIFICATE_BUDGET = 200
 _MAX_SELECTIVE_ROWS = 512
 
 _ABSENT = object()
-
-
-def canonical_body(body: PatternGraph):
-    """Shape key of a body: ``(shape, constants, names)``.
-
-    ``shape`` is a tuple of triple templates over canonical variable
-    names (``"V0"``, by first occurrence) and constant *indices* into
-    the ``constants`` tuple (parameterized out, also by first
-    occurrence).  Alpha-variant bodies map to the same ``(shape,
-    constants)`` pair whenever the template sort orders their triples
-    compatibly; an automorphic body that sorts differently just misses
-    the plan cache — never a correctness issue.  ``names`` maps each
-    body variable to its canonical name (the translation hook for
-    reusing a plan across alpha-variants).
-    """
-    def template(t: Triple):
-        out = []
-        for x in (t.s, t.p, t.o):
-            if isinstance(x, Variable):
-                out.append((1, "", ""))
-            else:
-                out.append((0, x.__class__.__name__, x.value))
-        return tuple(out)
-
-    ordered = sorted(body, key=template)
-    names: Dict[Variable, str] = {}
-    constants: List[Term] = []
-    const_index: Dict[Term, int] = {}
-    shape: List[Tuple] = []
-    for t in ordered:
-        row = []
-        for x in (t.s, t.p, t.o):
-            if isinstance(x, Variable):
-                name = names.get(x)
-                if name is None:
-                    name = names[x] = f"V{len(names)}"
-                row.append(name)
-            else:
-                i = const_index.get(x)
-                if i is None:
-                    i = const_index[x] = len(constants)
-                    constants.append(x)
-                row.append(i)
-        shape.append(tuple(row))
-    return tuple(shape), tuple(constants), names
 
 
 def _body_patterns(body: PatternGraph) -> Tuple[Tuple[Optional[Term], ...], ...]:
@@ -174,17 +116,6 @@ def _overlaps(patterns, rows, resolve, memo) -> bool:
     return False
 
 
-class _PlanEntry:
-    __slots__ = ("prepared", "names", "patterns", "version")
-
-    def __init__(self, prepared, names, patterns, version):
-        self.prepared = prepared
-        #: Build-time variable → canonical name (for alpha translation).
-        self.names = names
-        self.patterns = patterns
-        self.version = version
-
-
 class _CacheEntry:
     __slots__ = (
         "body",
@@ -217,7 +148,7 @@ def _answer_bytes(graph: RDFGraph) -> int:
 
 
 class QueryCache:
-    """LRU two-tier cache; see the module docstring for semantics.
+    """LRU answer cache; see the module docstring for semantics.
 
     ``count`` is the owning store's counter hook (metric name, amount);
     all ``query.cache.*`` counters flow through it so ``repro stats``
@@ -228,21 +159,13 @@ class QueryCache:
         self,
         max_bytes: int = 32 << 20,
         max_entries: int = 256,
-        max_plans: int = 128,
-        answer_cache: bool = True,
         count: Optional[Callable] = None,
     ):
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self.max_plans = max_plans
-        #: With the answer tier off the cache degrades to tier 1 only:
-        #: every query re-enumerates, reusing prepared plans (the
-        #: benchmark's plan-isolation mode).
-        self.answer_cache = answer_cache
         self._count = count if count is not None else (lambda name, amount=1: None)
         self._entries: "OrderedDict[PatternGraph, _CacheEntry]" = OrderedDict()
         self._by_query: Dict[Tuple[Query, str], PatternGraph] = {}
-        self._plans: "OrderedDict[Tuple, _PlanEntry]" = OrderedDict()
         self._bytes = 0
 
     # -- introspection -------------------------------------------------
@@ -250,7 +173,6 @@ class QueryCache:
     def info(self) -> Dict[str, int]:
         return {
             "entries": len(self._entries),
-            "plans": len(self._plans),
             "bytes": self._bytes,
             "max_bytes": self.max_bytes,
         }
@@ -269,20 +191,18 @@ class QueryCache:
         around the cache: their matching target ``nf(D + P)`` is not
         the store's normal form).
         """
-        if self.answer_cache:
-            served = self._serve_cached(query, semantics, version)
-            if served is not None:
-                return served
+        served = self._serve_cached(query, semantics, version)
+        if served is not None:
+            return served
         self._count(MISSES)
-        valuations = self._evaluate(query, target, version)
+        valuations = self._evaluate(query, target)
         graph = answers_from_valuations(query, valuations, semantics)
-        if self.answer_cache:
-            entry = self._entries.get(query.body)
-            if entry is None or entry.version != version:
-                entry = _CacheEntry(query.body, valuations, version)
-                self._store_entry(entry)
-            self._memoize(entry, (query, semantics), graph)
-            self._evict()
+        entry = self._entries.get(query.body)
+        if entry is None or entry.version != version:
+            entry = _CacheEntry(query.body, valuations, version)
+            self._store_entry(entry)
+        self._memoize(entry, (query, semantics), graph)
+        self._evict()
         return graph
 
     def _serve_cached(
@@ -422,56 +342,14 @@ class QueryCache:
                 out.append(v)
         return out
 
-    # -- evaluation (tier 1) -------------------------------------------
+    # -- evaluation ----------------------------------------------------
 
-    def _evaluate(
-        self, query: Query, target: RDFGraph, version: int
-    ) -> List[Valuation]:
-        """All matchings of the body into *target*, via the plan cache."""
-        shape, constants, names = canonical_body(query.body)
-        plan_key = (shape, constants)
-        plan = self._plans.get(plan_key)
-        if plan is not None and plan.version == version:
-            self._plans.move_to_end(plan_key)
-            self._count(PLAN_HITS)
-            if plan.names == names:
-                translate = None
-            else:
-                inverse = {name: var for var, name in names.items()}
-                translate = {
-                    built: inverse[name] for built, name in plan.names.items()
-                }
-            valuations: List[Valuation] = []
-            for assignment in plan.prepared.assignments():
-                if translate is None:
-                    v = {
-                        x: t
-                        for x, t in assignment.items()
-                        if isinstance(x, Variable)
-                    }
-                else:
-                    v = {
-                        translate[x]: t
-                        for x, t in assignment.items()
-                        if isinstance(x, Variable)
-                    }
-                valuations.append(v)
-            return valuations
-        prepared = prepare_match(list(query.body), target)
-        patterns = tuple(
-            tuple(
-                None if isinstance(x, str) else constants[x] for x in row
-            )
-            for row in shape
-        )
-        self._plans[plan_key] = _PlanEntry(prepared, names, patterns, version)
-        self._plans.move_to_end(plan_key)
-        while len(self._plans) > self.max_plans:
-            self._plans.popitem(last=False)
-            self._count(EVICTIONS)
+    @staticmethod
+    def _evaluate(query: Query, target: RDFGraph) -> List[Valuation]:
+        """All matchings of the body into *target*, unfiltered."""
         return [
             {x: t for x, t in assignment.items() if isinstance(x, Variable)}
-            for assignment in prepared.assignments()
+            for assignment in iter_assignments(list(query.body), target)
         ]
 
     # -- admission / eviction ------------------------------------------
@@ -512,14 +390,12 @@ class QueryCache:
     # -- invalidation --------------------------------------------------
 
     def invalidate_all(self) -> None:
-        """Drop every entry and plan (conservative paths: blank-node
-        datasets, oversized deltas, lazy-closure writes, recovery)."""
-        dropped = len(self._entries) + len(self._plans)
-        if dropped:
-            self._count(INVALIDATIONS, dropped)
+        """Drop every entry (conservative paths: blank-node datasets,
+        oversized deltas, lazy-closure writes, recovery)."""
+        if self._entries:
+            self._count(INVALIDATIONS, len(self._entries))
         self._entries.clear()
         self._by_query.clear()
-        self._plans.clear()
         self._bytes = 0
 
     def invalidate_delta(
@@ -532,15 +408,13 @@ class QueryCache:
 
         *rows* are the net closure-row changes of one flushed delta
         (interned, already skolem-free for a ground dataset); entries
-        and plans whose body patterns overlap any of them are dropped,
-        all survivors advance to the post-delta *version*.
+        whose body patterns overlap any of them are dropped, all
+        survivors advance to the post-delta *version*.
         """
         rows = list(rows)
         if not rows:
             for entry in self._entries.values():
                 entry.version = version
-            for plan in self._plans.values():
-                plan.version = version
             return
         if len(rows) > _MAX_SELECTIVE_ROWS:
             self.invalidate_all()
@@ -553,17 +427,7 @@ class QueryCache:
         ]
         for body in dead_bodies:
             self._drop_entry(body)
-        dead_plans = [
-            key
-            for key, plan in self._plans.items()
-            if _overlaps(plan.patterns, rows, resolve, memo)
-        ]
-        for key in dead_plans:
-            del self._plans[key]
-        dropped = len(dead_bodies) + len(dead_plans)
-        if dropped:
-            self._count(INVALIDATIONS, dropped)
+        if dead_bodies:
+            self._count(INVALIDATIONS, len(dead_bodies))
         for entry in self._entries.values():
             entry.version = version
-        for plan in self._plans.values():
-            plan.version = version

@@ -46,13 +46,6 @@ class ParseError(ValueError):
         self.line_number = line_number
         self.line = line
 
-    def __reduce__(self):
-        # Default exception pickling would replay __init__ with the
-        # already-formatted message as the only argument; the parallel
-        # ingest workers ship ParseErrors across process boundaries, so
-        # reconstruct from the original three fields instead.
-        return (ParseError, (self.reason, self.line_number, self.line))
-
 
 @dataclass(frozen=True)
 class ParseIssue:

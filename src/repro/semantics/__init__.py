@@ -13,7 +13,7 @@ from .closure import (
     rdfs_closure,
     rdfs_closure_arrays,
     rdfs_closure_by_rules,
-    rdfs_closure_partitioned,
+    rdfs_closure_rows,
 )
 from .entailment import (
     entailment_plan,
@@ -75,7 +75,7 @@ __all__ = [
     "rdfs_closure",
     "rdfs_closure_arrays",
     "rdfs_closure_by_rules",
-    "rdfs_closure_partitioned",
+    "rdfs_closure_rows",
     "satisfies_simple",
     "simple_entails",
     "simple_equivalent",

@@ -20,19 +20,9 @@ query over the sp/sc edge relations.
 
 from __future__ import annotations
 
-import heapq
-import os
-import shutil
-import tempfile
-from itertools import groupby
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.columns import (
-    SortedRuns,
-    gallop_left,
-    merge_union_many,
-    merge_union_sorted,
-)
+from ..core.columns import SortedRuns, gallop_left, merge_union_sorted
 from ..core.graph import RDFGraph
 from ..core.interning import (
     BNODE_BASE,
@@ -48,7 +38,7 @@ from ..core.interning import (
 )
 from ..core.terms import Term, Triple, URI
 from ..core.vocabulary import DOM, RANGE, RDFS_VOCABULARY, SC, SP, TYPE
-from ..obs import OBS, MetricsRegistry
+from ..obs import OBS
 from ..obs.progress import ProgressReporter, current_progress
 from ..robustness.faultinject import FAULTS
 from ..robustness.guard import current_guard
@@ -57,8 +47,7 @@ from .rules import apply_rules_to_fixpoint
 __all__ = [
     "rdfs_closure",
     "rdfs_closure_arrays",
-    "rdfs_closure_partitioned",
-    "rdfs_closure_partitioned_rows",
+    "rdfs_closure_rows",
     "rdfs_closure_by_rules",
     "closure",
     "ClosureOracle",
@@ -70,7 +59,6 @@ __all__ = [
 #: the obs registry gets the same counts when instrumentation is on).
 KERNEL_DISPATCH: Dict[str, int] = {
     "arrays": 0,
-    "partitioned": 0,
 }
 
 
@@ -355,15 +343,22 @@ def _arrays_round(acc: SortedRuns, tallies: Dict[str, int], guard) -> List[Row]:
     return batch
 
 
-def rdfs_closure_arrays(graph: RDFGraph) -> RDFGraph:
-    """``RDFS-cl(G)`` via the array-native sorted-run kernel.
+def rdfs_closure_rows(
+    rows_sorted: List[Row],
+    progress: Optional[ProgressReporter] = None,
+) -> SortedRuns:
+    """``RDFS-cl`` of encoded rows via the array-native sorted-run kernel.
 
-    Interns the graph, keeps the accumulated closure as a
-    :class:`~repro.core.columns.SortedRuns` relation, and runs the
-    staged fixpoint with batch semantics: each round emits one raw
-    batch through merge-joins over contiguous POS runs, deduplicates it
-    by sorted-merge difference against the accumulated run (no
-    per-tuple set probing), and merges the delta back in one pass.
+    *rows_sorted* is a sorted duplicate-free row list over a
+    vocabulary-seeded :class:`TermDict` (the five rdfsV keywords are
+    IDs 0–4) — exactly what the bulk loader produces, so ``repro load
+    --close`` closes its runs here without a boxed graph.  The
+    accumulated closure is a :class:`~repro.core.columns.SortedRuns`
+    relation, and the staged fixpoint runs with batch semantics: each
+    round emits one raw batch through merge-joins over contiguous POS
+    runs, deduplicates it by sorted-merge difference against the
+    accumulated run (no per-tuple set probing), and merges the delta
+    back in one pass.
 
     On input without reserved vocabulary in subject/object positions a
     single round is complete and the verification round is skipped:
@@ -371,14 +366,15 @@ def rdfs_closure_arrays(graph: RDFGraph) -> RDFGraph:
     closed, and rules (6)/(7) run before rule (5), so their type rows
     are sc-lifted in the same round.
 
-    Raises ``TypeError`` on non-RDF terms (variables).
+    *progress* (or the ambient reporter) gets one ``closure`` heartbeat
+    per round.
     """
-    terms = TermDict()
-    rows_sorted = sorted(set(terms.encode_rows(graph.triples)))
     acc = SortedRuns(rows_sorted)
     tallies: Dict[str, int] = {}
     guard = current_guard()
-    input_size = len(graph)
+    if progress is None:
+        progress = current_progress()
+    input_size = len(rows_sorted)
     single_round = not any(
         s < VOCAB_SIZE or o < VOCAB_SIZE for s, _p, o in rows_sorted
     )
@@ -404,378 +400,39 @@ def rdfs_closure_arrays(graph: RDFGraph) -> RDFGraph:
             if not delta:
                 break
             acc = acc.union_sorted(delta)
+            if progress is not None:
+                progress.report("closure", round=rounds, rows=len(acc))
             if single_round:
                 break  # the verification round is provably empty
         if OBS.enabled:
             registry = OBS.registry
             registry.inc("closure.rounds", rounds)
             registry.inc("closure.derived_triples", len(acc) - input_size)
+            registry.inc("closure.kernel.arrays.batch_rows", batch_total)
+            registry.inc("closure.kernel.arrays.delta_rows", delta_total)
+            registry.inc("columns.mergejoin.probes", tallies.get("probes", 0))
+            registry.inc("columns.mergejoin.emits", tallies.get("emits", 0))
             span.annotate(rounds=rounds, output=len(acc))
+    if progress is not None:
+        progress.report("closure", force=True, round=rounds, rows=len(acc))
+    return acc
+
+
+def rdfs_closure_arrays(graph: RDFGraph) -> RDFGraph:
+    """``RDFS-cl(G)`` via :func:`rdfs_closure_rows`.
+
+    Interns the graph into a fresh vocabulary-seeded
+    :class:`TermDict`, closes the encoded rows, and decodes the result.
+    Raises ``TypeError`` on non-RDF terms (variables).
+    """
+    terms = TermDict()
+    acc = rdfs_closure_rows(sorted(set(terms.encode_rows(graph.triples))))
     out = RDFGraph._from_trusted(terms.decode_rows(acc.rows()))
     if OBS.enabled:
         registry = OBS.registry
         registry.inc("interning.encode_calls", terms.encodes)
         registry.inc("interning.decode_calls", terms.decodes)
         registry.set_gauge("interning.closure_dict_size", len(terms))
-        registry.inc("closure.kernel.arrays.batch_rows", batch_total)
-        registry.inc("closure.kernel.arrays.delta_rows", delta_total)
-        registry.inc("columns.mergejoin.probes", tallies.get("probes", 0))
-        registry.inc("columns.mergejoin.emits", tallies.get("emits", 0))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Partitioned closure (ROADMAP item 3: the 10⁶-triple scale path)
-# ----------------------------------------------------------------------
-
-def _is_schema_row(p: int) -> bool:
-    """Schema rows are the ones replicated to every shard.
-
-    A row is *schema* iff its predicate is sp, sc, dom or range.  Every
-    RDFS rule (2)–(13) has at most one non-schema premise: rules
-    (2)/(4) and the reflexivity group join only schema rows, and rules
-    (3)/(5)/(6)/(7) join one schema row against one arbitrary row.  So
-    replicating schema to all shards and partitioning the rest by
-    subject co-locates every rule's premises — no shard ever needs
-    another shard's *data* rows, only its derived deltas.
-    """
-    return p < VOCAB_SIZE and p != TYPE_ID
-
-
-class _Shard:
-    """One partition's accumulated closure, spillable between rounds."""
-
-    __slots__ = ("acc", "path", "n_rows", "inbox", "needs_round")
-
-    def __init__(self, acc: SortedRuns):
-        self.acc: Optional[SortedRuns] = acc
-        self.path: Optional[str] = None
-        self.n_rows = len(acc)
-        self.inbox: List[List[Row]] = []
-        self.needs_round = True
-
-    def load(self) -> SortedRuns:
-        if self.acc is None:
-            with open(self.path, "rb") as f:
-                self.acc = SortedRuns.fromfile(f, self.n_rows)
-        return self.acc
-
-    def spill(self, directory: str, index: int) -> None:
-        if self.acc is None:
-            return
-        if self.path is None:
-            self.path = os.path.join(directory, f"shard-{index:04d}.bin")
-        with open(self.path, "wb") as f:
-            self.acc.tofile(f)
-        self.acc = None
-
-    def resident_rows(self) -> int:
-        return self.n_rows if self.acc is not None else 0
-
-    def rows_iter(self):
-        """Rows for the final k-way merge, streamed if spilled."""
-        if self.acc is not None:
-            return iter(self.acc.rows())
-        from ..ingest.spill import SpilledRun
-
-        return SpilledRun(self.path, self.n_rows).iter_rows()
-
-
-def rdfs_closure_partitioned_rows(
-    rows_sorted: List[Row],
-    shards: int = 4,
-    max_memory_mb: Optional[int] = None,
-    tmp_dir: Optional[str] = None,
-    tallies: Optional[Dict[str, int]] = None,
-    progress: Optional[ProgressReporter] = None,
-) -> SortedRuns:
-    """``RDFS-cl`` of encoded rows by hash-partitioned fixpoint.
-
-    *rows_sorted* is a sorted duplicate-free encoded row list over a
-    vocabulary-seeded :class:`TermDict` (exactly what the bulk loader
-    produces).  The relation is split into *shards* partitions — schema
-    rows (sp/sc/dom/range predicates) replicated to all, data rows
-    hashed by subject — and each shard runs the PR 6 staged round
-    (:func:`_arrays_round`) over its own :class:`SortedRuns`.  Between
-    rounds the shards exchange deltas: derived **schema** rows broadcast
-    to every shard (new sp*/sc* frontier), and derived data rows whose
-    subject hashes elsewhere — only rule (7) emits these — route to
-    their home shard.  A shard re-enters the round loop whenever its
-    accumulation grew; the global fixpoint is reached when no shard
-    derives or receives anything new.
-
-    On vocabulary-clean input (no reserved IDs in subject/object) one
-    round per shard plus one exchange is complete: rules (6)/(7) emit
-    type rows already lifted through the full (replicated) sc relation,
-    so routed rows are inert at their home shard — the partitioned twin
-    of the single-round argument in :func:`rdfs_closure_arrays`.
-
-    With *max_memory_mb* set, shard accumulations are spilled to temp
-    files between uses (:meth:`SortedRuns.tofile` flat-array format)
-    whenever the resident estimate exceeds the bound, and the final
-    union streams spilled shards back block-wise.
-
-    *progress* (or the ambient reporter) gets one heartbeat per global
-    round.  With instrumentation on, each shard additionally records
-    into a private :class:`MetricsRegistry` that is merged into the
-    global one under a ``closure.partitioned.shard.<i>.`` prefix at the
-    end — the same loss-free snapshot-merge protocol the multi-worker
-    loader uses across processes, exercised here across shards.
-    """
-    from ..ingest.spill import ROW_BYTES
-
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if tallies is None:
-        tallies = {}
-    guard = current_guard()
-    if progress is None:
-        progress = current_progress()
-    shard_regs: Optional[List[MetricsRegistry]] = (
-        [MetricsRegistry() for _ in range(shards)] if OBS.enabled else None
-    )
-    max_bytes = None if max_memory_mb is None else max_memory_mb * (1 << 20)
-
-    # One pass with the _is_schema_row test inlined (it is hot here).
-    schema: List[Row] = []
-    data_parts: List[List[Row]] = [[] for _ in range(shards)]
-    for row in rows_sorted:
-        p = row[1]
-        if p < VOCAB_SIZE and p != TYPE_ID:
-            schema.append(row)
-        else:
-            data_parts[row[0] % shards].append(row)
-    # Schema and data rows interleave arbitrarily by subject, so each
-    # part must be re-sorted after the replicate/partition split.
-    shard_state = [
-        _Shard(SortedRuns(sorted(schema + part))) for part in data_parts
-    ]
-    del data_parts
-
-    single_round = not any(
-        s < VOCAB_SIZE or o < VOCAB_SIZE for s, _p, o in rows_sorted
-    )
-
-    spill_dir: Optional[str] = None
-    spill_events = 0
-    exchanged = 0
-
-    def enforce_budget() -> None:
-        nonlocal spill_dir, spill_events
-        if max_bytes is None:
-            return
-        while True:
-            resident = sum(sh.resident_rows() for sh in shard_state)
-            if resident * ROW_BYTES <= max_bytes:
-                return
-            # Spill the largest resident shard; stop when nothing is
-            # left to spill (a single huge shard stays resident).
-            loaded = [sh for sh in shard_state if sh.acc is not None]
-            if len(loaded) <= 1:
-                return
-            victim = max(loaded, key=lambda sh: sh.n_rows)
-            if spill_dir is None:
-                spill_dir = tempfile.mkdtemp(
-                    prefix="repro-shards-", dir=tmp_dir
-                )
-            victim.spill(spill_dir, shard_state.index(victim))
-            spill_events += 1
-
-    def route(delta: List[Row], origin: int) -> None:
-        """Queue an origin shard's delta for the other shards."""
-        nonlocal exchanged
-        if shards == 1:
-            return
-        # Single pass, _is_schema_row inlined: schema rows broadcast,
-        # foreign-subject data rows (rule 7's emissions) go home.
-        broadcast: List[Row] = []
-        routed: Dict[int, List[Row]] = {}
-        for r in delta:
-            p = r[1]
-            if p < VOCAB_SIZE and p != TYPE_ID:
-                broadcast.append(r)
-            else:
-                home = r[0] % shards
-                if home != origin:
-                    bucket = routed.get(home)
-                    if bucket is None:
-                        routed[home] = [r]
-                    else:
-                        bucket.append(r)
-        if not broadcast and not routed:
-            return
-        for j, sh in enumerate(shard_state):
-            if j == origin:
-                continue
-            extra = routed.get(j)
-            if extra is None:
-                # Inbox batches are read-only until merged, so every
-                # shard may share the one broadcast list.
-                batch = broadcast
-            elif not broadcast:
-                batch = extra
-            else:
-                batch = merge_union_sorted(broadcast, extra)
-            if batch:
-                sh.inbox.append(batch)
-                exchanged += len(batch)
-
-    rounds = 0
-    try:
-        with OBS.span(
-            "closure.partitioned", shards=shards, input=len(rows_sorted)
-        ) as span:
-            while True:
-                if not any(
-                    sh.needs_round or sh.inbox for sh in shard_state
-                ):
-                    break
-                rounds += 1
-                if FAULTS.enabled:
-                    FAULTS.hit("closure.round")
-                for i, sh in enumerate(shard_state):
-                    if sh.inbox:
-                        incoming = merge_union_many(sh.inbox)
-                        sh.inbox = []
-                        acc = sh.load()
-                        # One merge pass: union_sorted dedups, and the
-                        # length tells us whether anything was new.
-                        merged = acc.union_sorted(incoming)
-                        if len(merged) != sh.n_rows:
-                            sh.acc = merged
-                            sh.n_rows = len(merged)
-                            if not single_round:
-                                sh.needs_round = True
-                    if not sh.needs_round:
-                        enforce_budget()
-                        continue
-                    acc = sh.load()
-                    if shard_regs is not None:
-                        with shard_regs[i].timer("round_ms"):
-                            batch = _arrays_round(acc, tallies, guard)
-                        shard_regs[i].inc("rounds")
-                    else:
-                        batch = _arrays_round(acc, tallies, guard)
-                    batch.sort()
-                    delta = acc.new_rows(batch)
-                    if guard is not None:
-                        guard.tick(1 + len(delta))
-                    if delta:
-                        sh.acc = acc.union_sorted(delta)
-                        sh.n_rows = len(sh.acc)
-                        route(delta, i)
-                        if shard_regs is not None:
-                            shard_regs[i].inc("derived_rows", len(delta))
-                    else:
-                        sh.needs_round = False
-                    if single_round:
-                        sh.needs_round = False
-                    enforce_budget()
-                if progress is not None:
-                    progress.report(
-                        "closure.partitioned",
-                        round=rounds,
-                        rows=sum(sh.n_rows for sh in shard_state),
-                        exchanged=exchanged,
-                        spills=spill_events,
-                        shards=shards,
-                    )
-                if single_round and rounds >= 1:
-                    # Drain the one exchange, then stop: routed rows
-                    # are provably inert (see docstring).
-                    for sh in shard_state:
-                        if sh.inbox:
-                            incoming = merge_union_many(sh.inbox)
-                            sh.inbox = []
-                            acc = sh.load()
-                            merged = acc.union_sorted(incoming)
-                            if len(merged) != sh.n_rows:
-                                sh.acc = merged
-                                sh.n_rows = len(merged)
-                            enforce_budget()
-                    break
-
-            # Final union over all shard accumulations (schema rows and
-            # broadcast copies dedup here).  With every shard resident,
-            # concatenate + Timsort beats a pure-Python k-way heap
-            # merge: the sort's galloping merge of the K pre-sorted
-            # runs happens in C.  Spilled shards instead stream
-            # block-wise through heapq.merge, never rematerializing.
-            if all(sh.acc is not None for sh in shard_state):
-                merged: List[Row] = []
-                for sh in shard_state:
-                    merged.extend(sh.acc.rows())
-                merged.sort()
-                out = [row for row, _group in groupby(merged)]
-            else:
-                out = [
-                    row
-                    for row, _group in groupby(
-                        heapq.merge(*(sh.rows_iter() for sh in shard_state))
-                    )
-                ]
-            span.annotate(rounds=rounds, output=len(out), spills=spill_events)
-    finally:
-        if spill_dir is not None:
-            shutil.rmtree(spill_dir, ignore_errors=True)
-    if progress is not None:
-        progress.report(
-            "closure.partitioned",
-            force=True,
-            round=rounds,
-            rows=len(out),
-            exchanged=exchanged,
-            spills=spill_events,
-            shards=shards,
-        )
-    if OBS.enabled:
-        registry = OBS.registry
-        registry.inc("closure.partitioned.rounds", rounds)
-        registry.inc("closure.partitioned.exchanged_rows", exchanged)
-        registry.inc("closure.partitioned.spilled_shards", spill_events)
-        if shard_regs is not None:
-            for i, reg in enumerate(shard_regs):
-                registry.merge(
-                    reg.snapshot(),
-                    prefix=f"closure.partitioned.shard.{i}.",
-                )
-    return SortedRuns(out)
-
-
-def rdfs_closure_partitioned(
-    graph: RDFGraph,
-    shards: int = 4,
-    max_memory_mb: Optional[int] = None,
-    tmp_dir: Optional[str] = None,
-) -> RDFGraph:
-    """``RDFS-cl(G)`` via the hash-partitioned sorted-run kernel.
-
-    The graph-level wrapper over
-    :func:`rdfs_closure_partitioned_rows`: encode, partition, run the
-    per-shard fixpoint with delta exchange, decode the merged union.
-    Produces exactly :func:`rdfs_closure_arrays`'s output for every
-    shard count (parity-tested at 1, 2 and 7 shards); raises
-    ``TypeError`` on non-RDF terms, as :func:`rdfs_closure_arrays` does.
-    """
-    terms = TermDict()
-    rows_sorted = sorted(set(terms.encode_rows(graph.triples)))
-    tallies: Dict[str, int] = {}
-    acc = rdfs_closure_partitioned_rows(
-        rows_sorted,
-        shards=shards,
-        max_memory_mb=max_memory_mb,
-        tmp_dir=tmp_dir,
-        tallies=tallies,
-    )
-    KERNEL_DISPATCH["partitioned"] += 1
-    out = RDFGraph._from_trusted(terms.decode_rows(acc.rows()))
-    if OBS.enabled:
-        registry = OBS.registry
-        registry.inc("closure.dispatch.partitioned")
-        registry.inc("interning.encode_calls", terms.encodes)
-        registry.inc("interning.decode_calls", terms.decodes)
-        registry.inc("columns.mergejoin.probes", tallies.get("probes", 0))
-        registry.inc("columns.mergejoin.emits", tallies.get("emits", 0))
     return out
 
 

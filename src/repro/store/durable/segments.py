@@ -1,10 +1,9 @@
 """Checkpoint segment files: one graph as SPO/POS/OSP sorted runs.
 
 A checkpoint parks each named graph's committed rows in three flat
-``array('q')`` files — the exact spill layout of
-:meth:`repro.core.columns.SortedRuns.tofile` /
-:meth:`~repro.core.columns.SortedRuns.fromfile` (3·n interleaved
-values per ordering), one file per key ordering:
+``array('q')`` files — the spill layout of
+:func:`repro.core.columns.rows_to_array` (3·n interleaved values per
+ordering), one file per key ordering:
 
 .. code-block:: text
 
@@ -98,8 +97,8 @@ def read_segment(base, meta: Dict[str, int]) -> SortedRuns:
     """Reload one segment into a :class:`SortedRuns` with warm views.
 
     The SPO file is the canonical row list (already sorted and
-    duplicate-free, exactly :meth:`SortedRuns.fromfile`'s trust
-    contract); the POS/OSP files are installed as pre-built order
+    duplicate-free, exactly the trusted :class:`SortedRuns`
+    constructor's contract); the POS/OSP files are installed as pre-built order
     views so no reopened-store read pays a re-sort.
     """
     base = os.fspath(base)

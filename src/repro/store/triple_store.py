@@ -187,7 +187,7 @@ class TripleStore:
         #: delta changes the materialized closure (or drops it).  Reads
         #: served from the query cache are guarded by it.
         self._version = 0
-        #: Optional two-tier query cache (see ``enable_query_cache``).
+        #: Optional query cache (see ``enable_query_cache``).
         self._query_cache = None
         #: Per-store metrics: maintenance counters and flush timings.
         #: Always on (cold-path increments only); mirrored into the
@@ -414,25 +414,20 @@ class TripleStore:
         self,
         source,
         graph: str = DEFAULT_GRAPH,
-        workers: int = 1,
         strict: bool = True,
         max_memory_mb: Optional[int] = None,
     ) -> int:
         """Stream an N-Triples file (or line iterable) into one graph.
 
         A convenience front on :func:`repro.ingest.load_ntriples`: the
-        file is chunk-parsed (in parallel for ``workers > 1``), decoded
-        once, and folded in as a single atomic :meth:`add_all` batch —
-        one maintenance step for the whole file.  Returns the number of
-        new triples.
+        file is chunk-parsed, decoded once, and folded in as a single
+        atomic :meth:`add_all` batch — one maintenance step for the
+        whole file.  Returns the number of new triples.
         """
         from ..ingest import load_ntriples
 
         result = load_ntriples(
-            source,
-            workers=workers,
-            strict=strict,
-            max_memory_mb=max_memory_mb,
+            source, strict=strict, max_memory_mb=max_memory_mb
         )
         return self.add_all(result.graph(), graph=graph)
 
@@ -967,25 +962,18 @@ class TripleStore:
         self,
         max_bytes: int = 32 << 20,
         max_entries: int = 256,
-        max_plans: int = 128,
-        answer_cache: bool = True,
     ):
-        """Attach the two-tier query cache to :meth:`query`.
+        """Attach the semantic answer cache to :meth:`query`.
 
         Off by default — enabling it changes no answer (cached serving
         is byte-identical, property-tested), only the work done per
         request.  Counters land in ``self.metrics`` (and the obs
         registry when instrumentation is on) as ``query.cache.*``.
-        ``answer_cache=False`` keeps only the prepared-plan tier.
         """
         from ..query.cache import QueryCache
 
         self._query_cache = QueryCache(
-            max_bytes=max_bytes,
-            max_entries=max_entries,
-            max_plans=max_plans,
-            answer_cache=answer_cache,
-            count=self._count,
+            max_bytes=max_bytes, max_entries=max_entries, count=self._count
         )
         return self._query_cache
 
@@ -996,7 +984,7 @@ class TripleStore:
         """Answer a tableau query against the dataset (paper semantics).
 
         Premise-free queries reuse the cached normal form — and, when
-        :meth:`enable_query_cache` has been called, the two-tier query
+        :meth:`enable_query_cache` has been called, the query
         cache; queries with premises must renormalize against ``D + P``
         per Definition 4.3 (their target is not the store's normal
         form, so they always bypass the cache).

@@ -109,7 +109,6 @@ class TestGraphCommands:
             "query.cache.hits",
             "query.cache.misses",
             "query.cache.containment_hits",
-            "query.cache.plan_hits",
             "query.cache.invalidations",
             "query.cache.evictions",
         ):

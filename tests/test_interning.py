@@ -68,7 +68,7 @@ def wild_graphs_without_literals(max_size: int = 5):
     literal objects on reserved-vocabulary edges differently from the
     rule system (see the two pinned cases in
     :class:`TestStoreAgreement`), so store-vs-closure equality is
-    claimed on the literal-free class.  The closure kernels are checked
+    claimed on the literal-free class.  The closure kernel is checked
     against the rule system on the full wild class (``test_columns.py``,
     ``test_partitioned.py``).
     """

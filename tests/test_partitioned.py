@@ -1,19 +1,18 @@
-"""Parity and determinism tests for the scale path (ROADMAP item 3).
+"""The scale path: the streaming loader, its spill pool, ``load --close``.
 
 Three claims are pinned down here:
 
-* **Partitioned closure parity** — ``rdfs_closure_partitioned`` at 1,
-  2 and 7 shards (and with spill forced) equals the single-shard
-  arrays kernel and the rule system of Definition 2.7, on wild graphs
-  (reserved vocabulary in subject/object positions, literal objects)
-  and on tame RDFS graphs.
-* **Spill-format identity** — ``SortedRuns.tofile``/``fromfile`` and
-  the flat-array helpers round-trip exactly; a ``RunPool`` forced to
-  spill merges to the same rows as an unbounded one.
-* **Loader determinism** — loading the same file with any worker count
-  and chunk size yields an identical term dictionary and identical
-  encoded rows (the deterministic ID-remap argument), and the decoded
-  graph equals the one-shot parser's.
+* **Rows-level closure** — :func:`rdfs_closure_rows` over a
+  vocabulary-seeded dictionary's encoded rows equals the graph-level
+  :func:`rdfs_closure_arrays` and the rule system of Definition 2.7,
+  on wild graphs (reserved vocabulary in subject/object positions,
+  literal objects) and on the loader's own runs.
+* **Spill-format identity** — the flat-array helpers round-trip
+  exactly; a ``RunPool`` forced to spill merges to the same rows as an
+  unbounded one.
+* **Loader determinism** — loading the same file with any chunk size
+  yields an identical term dictionary and identical encoded rows, and
+  the decoded graph equals the one-shot parser's.
 """
 
 import io
@@ -44,8 +43,7 @@ from repro.rdfio.ntriples import ParseError, iter_ntriples, parse_ntriples
 from repro.semantics.closure import (
     rdfs_closure_arrays,
     rdfs_closure_by_rules,
-    rdfs_closure_partitioned,
-    rdfs_closure_partitioned_rows,
+    rdfs_closure_rows,
 )
 from repro.store import TripleStore
 
@@ -72,6 +70,13 @@ def wild_graphs(max_size: int = 6):
     return st.lists(triples, min_size=0, max_size=max_size).map(RDFGraph)
 
 
+def _close_rows(graph: RDFGraph) -> RDFGraph:
+    """Encode, close rows-level, decode."""
+    terms = TermDict()
+    acc = rdfs_closure_rows(sorted(set(terms.encode_rows(graph.triples))))
+    return RDFGraph._from_trusted(terms.decode_rows(acc.rows()))
+
+
 _IDS = st.sampled_from(
     [0, 1, 2, 3, 4, 5, 9, 17, BNODE_BASE, BNODE_BASE + 3,
      LITERAL_BASE, LITERAL_BASE + 7]
@@ -83,55 +88,19 @@ def encoded_rows(max_size: int = 12):
 
 
 # ----------------------------------------------------------------------
-# Partitioned closure parity
+# Rows-level closure
 # ----------------------------------------------------------------------
 
 
-class TestPartitionedClosureParity:
+class TestRowsFixpoint:
     @settings(**COMMON)
     @given(wild_graphs())
-    def test_shard_counts_agree_on_wild_graphs(self, g):
-        reference = set(rdfs_closure_by_rules(g))
-        assert set(rdfs_closure_arrays(g)) == reference
-        for shards in (1, 2, 7):
-            assert set(rdfs_closure_partitioned(g, shards=shards)) == reference
-
-    @settings(**COMMON)
-    @given(rdfs_graphs())
-    def test_shard_counts_agree_on_tame_graphs(self, g):
-        reference = set(rdfs_closure_by_rules(g))
-        assert set(rdfs_closure_arrays(g)) == reference
-        for shards in (1, 2, 7):
-            assert set(rdfs_closure_partitioned(g, shards=shards)) == reference
-
-    @settings(**COMMON)
-    @given(g=wild_graphs())
-    def test_spill_mode_agrees(self, g, tmp_path_factory):
-        # max_memory_mb=0 forces every enforceable spill opportunity.
-        reference = rdfs_closure_arrays(g)
-        got = rdfs_closure_partitioned(
-            g, shards=3, max_memory_mb=0,
-            tmp_dir=str(tmp_path_factory.mktemp("shards")),
-        )
-        assert got == reference
-
-    def test_synthetic_ontology_partitioned(self):
-        g = synthetic_ontology_graph(2000)
-        reference = rdfs_closure_arrays(g)
-        for shards in (1, 4):
-            assert rdfs_closure_partitioned(g, shards=shards) == reference
+    def test_rows_fixpoint_agrees_with_rules_on_wild_graphs(self, g):
+        assert set(_close_rows(g)) == set(rdfs_closure_by_rules(g))
 
     def test_rows_entrypoint_matches_graph_entrypoint(self):
-        g = synthetic_ontology_graph(600)
-        terms = TermDict()
-        rows = sorted(set(terms.encode_rows(g.triples)))
-        acc = rdfs_closure_partitioned_rows(rows, shards=5)
-        decoded = RDFGraph._from_trusted(terms.decode_rows(acc.rows()))
-        assert decoded == rdfs_closure_arrays(g)
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            rdfs_closure_partitioned_rows([], shards=0)
+        g = synthetic_ontology_graph(2000)
+        assert _close_rows(g) == rdfs_closure_arrays(g)
 
     def test_variables_raise_type_error(self):
         from repro.core.terms import Variable
@@ -140,7 +109,7 @@ class TestPartitionedClosureParity:
             [Triple(URI("a"), URI("p"), Variable("x"))]
         )
         with pytest.raises(TypeError):
-            rdfs_closure_partitioned(g)
+            rdfs_closure_arrays(g)
 
 
 # ----------------------------------------------------------------------
@@ -159,19 +128,6 @@ class TestSpillRoundTrip:
     def test_flat_array_rejects_ragged(self):
         with pytest.raises(ValueError):
             rows_from_array(array("q", [1, 2, 3, 4]))
-
-    @settings(**COMMON)
-    @given(rows=encoded_rows())
-    def test_sorted_runs_tofile_fromfile_identity(self, rows, tmp_path_factory):
-        rel = SortedRuns.from_rows(rows)
-        path = tmp_path_factory.mktemp("spill") / "rel.bin"
-        with open(path, "wb") as f:
-            n = rel.tofile(f)
-        assert n == len(rel)
-        with open(path, "rb") as f:
-            back = SortedRuns.fromfile(f, n)
-        assert back == rel
-        assert back.rows() == rel.rows()
 
     @settings(**COMMON)
     @given(st.lists(encoded_rows(max_size=6), max_size=5))
@@ -225,17 +181,12 @@ _SAMPLE_BAD = _SAMPLE + 'broken "line\nd p e .\n'
 
 
 class TestLoaderDeterminism:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("chunk_lines", [3, 7, 1000])
-    def test_any_worker_and_chunk_config_is_identical(
-        self, workers, chunk_lines
-    ):
-        baseline = load_ntriples(io.StringIO(_SAMPLE), workers=1)
-        result = load_ntriples(
-            io.StringIO(_SAMPLE), workers=workers, chunk_lines=chunk_lines
-        )
+    def test_any_chunk_size_is_identical(self, chunk_lines):
+        baseline = load_ntriples(io.StringIO(_SAMPLE))
+        result = load_ntriples(io.StringIO(_SAMPLE), chunk_lines=chunk_lines)
         assert result.runs.rows() == baseline.runs.rows()
-        assert result.terms.pool_values() == baseline.terms.pool_values()
+        assert result.terms.pool_sizes() == baseline.terms.pool_sizes()
         assert result.graph() == baseline.graph()
 
     def test_matches_one_shot_parser(self):
@@ -243,22 +194,19 @@ class TestLoaderDeterminism:
             _SAMPLE
         )
 
-    def test_strict_parse_error_propagates_from_workers(self):
+    @pytest.mark.parametrize("chunk_lines", [0, -1])
+    def test_chunk_lines_below_one_is_rejected(self, chunk_lines):
+        with pytest.raises(ValueError, match="chunk_lines must be >= 1"):
+            load_ntriples(io.StringIO(_SAMPLE), chunk_lines=chunk_lines)
+
+    def test_strict_parse_error_reports_file_line_number(self):
         with pytest.raises(ParseError) as err:
-            load_ntriples(
-                io.StringIO(_SAMPLE_BAD), workers=2, chunk_lines=2
-            )
+            load_ntriples(io.StringIO(_SAMPLE_BAD), chunk_lines=2)
         assert err.value.line_number == 9
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_tolerant_mode_reports_issues_with_file_line_numbers(
-        self, workers
-    ):
+    def test_tolerant_mode_reports_issues_with_file_line_numbers(self):
         result = load_ntriples(
-            io.StringIO(_SAMPLE_BAD),
-            workers=workers,
-            chunk_lines=3,
-            strict=False,
+            io.StringIO(_SAMPLE_BAD), chunk_lines=3, strict=False
         )
         report = parse_ntriples(_SAMPLE_BAD, strict=False)
         assert result.graph() == report.graph
@@ -278,10 +226,10 @@ class TestLoaderDeterminism:
         assert bounded.spilled_runs > 0
         assert bounded.runs.rows() == unbounded.runs.rows()
 
-    def test_load_then_partitioned_close_matches_boxed_pipeline(self):
+    def test_load_then_close_matches_boxed_pipeline(self):
         lines = list(synthetic_ontology_lines(500))
-        result = load_ntriples(iter(lines), workers=2, chunk_lines=100)
-        acc = rdfs_closure_partitioned_rows(result.runs.rows(), shards=3)
+        result = load_ntriples(iter(lines), chunk_lines=100)
+        acc = rdfs_closure_rows(result.runs.rows())
         decoded = RDFGraph._from_trusted(
             result.terms.decode_rows(acc.rows())
         )
@@ -332,12 +280,12 @@ class TestStreamingPrimitives:
         assert bulk.encode_rows(triples) == [
             single.encode_triple(t) for t in triples
         ]
-        assert bulk.pool_values() == single.pool_values()
+        assert bulk.pool_sizes() == single.pool_sizes()
         assert bulk.encodes == single.encodes
 
     def test_store_bulk_load(self):
         store = TripleStore()
-        added = store.bulk_load(io.StringIO(_SAMPLE), workers=1)
+        added = store.bulk_load(io.StringIO(_SAMPLE))
         assert added == 6
         assert store.dataset() == parse_ntriples(_SAMPLE)
 
@@ -353,8 +301,7 @@ class TestLoadCommand:
         write_synthetic_ontology(str(path), 800)
         out = io.StringIO()
         code = cli_main(
-            ["load", str(path), "--parallel", "2", "--chunk-lines", "200",
-             "--close", "--shards", "2"],
+            ["load", str(path), "--chunk-lines", "200", "--close"],
             out=out,
         )
         assert code == 0
@@ -381,3 +328,17 @@ class TestLoadCommand:
         code = cli_main(["load", str(path), "--tolerant"], out=out)
         assert code == 0
         assert "skipped lines:      1" in out.getvalue()
+
+    @pytest.mark.parametrize("chunk_lines", ["0", "-5"])
+    def test_load_rejects_chunk_lines_below_one(
+        self, tmp_path, capsys, chunk_lines
+    ):
+        path = tmp_path / "g.nt"
+        path.write_text(_SAMPLE)
+        out = io.StringIO()
+        code = cli_main(
+            ["load", str(path), "--chunk-lines", chunk_lines], out=out
+        )
+        assert code == 2
+        assert "chunk_lines must be >= 1" in capsys.readouterr().err
+        assert out.getvalue() == ""

@@ -1,12 +1,12 @@
-"""Property and unit tests for the two-tier query cache.
+"""Property and unit tests for the query cache.
 
 The headline property: with the cache enabled, ``TripleStore.query``
 returns *byte-identical* answers to a from-scratch ``answers()`` call —
 same Skolem blank labels, same triples — under random interleaved
 query/update streams (the ``test_store_maintenance`` stream machinery).
 Every op re-asks every query, so the stream exercises exact hits,
-identity and proper containment serving, plan reuse, DRed-delta
-invalidation, and eviction — and any stale answer surviving a delta
+identity and proper containment serving, DRed-delta invalidation,
+and eviction — and any stale answer surviving a delta
 fails the equality.
 """
 
@@ -17,14 +17,13 @@ from hypothesis import strategies as st
 
 from repro.core import BNode, RDFGraph, Triple, URI, Variable
 from repro.core.vocabulary import SC, TYPE
-from repro.query import QueryCache, answers, canonical_body, head_body_query
+from repro.query import QueryCache, answers, head_body_query
 from repro.query.cache import (
     CONTAINMENT_HITS,
     EVICTIONS,
     HITS,
     INVALIDATIONS,
     MISSES,
-    PLAN_HITS,
 )
 from repro.store import TripleStore
 
@@ -109,18 +108,7 @@ def test_cached_answers_equal_uncached_under_update_streams(ops, queries):
 @given(ops=_ops(), queries=_QUERY_STREAMS)
 def test_parity_survives_tiny_budgets_and_eviction(ops, queries):
     """Constant eviction pressure must never change an answer."""
-    _run_parity(ops, queries, max_bytes=2048, max_entries=2, max_plans=2)
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(ops=_ops(), queries=_QUERY_STREAMS)
-def test_parity_with_plan_tier_only(ops, queries):
-    """answer_cache=False degrades to plan reuse; answers unchanged."""
-    _run_parity(ops, queries, answer_cache=False)
+    _run_parity(ops, queries, max_bytes=2048, max_entries=2)
 
 
 # ----------------------------------------------------------------------
@@ -183,27 +171,6 @@ def test_identity_body_serves_head_and_semantics_variants():
     assert store.metrics.counter(MISSES) == 1
     assert store.metrics.counter(CONTAINMENT_HITS) == 1
     assert got == answers(q2, store.dataset(), semantics="merge")
-
-
-def test_plan_reuse_across_alpha_variants():
-    store = _ground_store()
-    store.enable_query_cache(answer_cache=False)
-    q1 = head_body_query(head=[("?x", "p", "?y")], body=[("?x", "p", "?y")])
-    q2 = head_body_query(head=[("?u", "p", "?w")], body=[("?u", "p", "?w")])
-    a1 = store.query(q1)
-    a2 = store.query(q2)
-    assert a1 == a2  # alpha-variant heads instantiate identically here
-    assert store.metrics.counter(PLAN_HITS) == 1
-    assert store.metrics.counter(MISSES) == 2  # answer tier is off
-
-
-def test_canonical_body_parameterizes_constants():
-    b1 = head_body_query(head=[("?x", "p", "b")], body=[("?x", "p", "b")]).body
-    b2 = head_body_query(head=[("?u", "q", "d")], body=[("?u", "q", "d")]).body
-    s1, c1, _ = canonical_body(b1)
-    s2, c2, _ = canonical_body(b2)
-    assert s1 == s2  # same shape ...
-    assert c1 != c2  # ... different constant vector
 
 
 def test_selective_invalidation_keeps_unrelated_entries():

@@ -1,28 +1,23 @@
-"""The telemetry pipeline: snapshot merge, progress, exporters, CLI.
+"""The telemetry pipeline: trace merge, progress, exporters, CLI.
 
 Four layers of assertions:
 
-* merge protocol — folding N partial registry snapshots into one equals
-  recording everything in a single registry (the Hypothesis property
-  behind the cross-process aggregation guarantee), histogram bucket
-  boundaries are checked, prefixes keep per-source series distinct, and
-  ``Tracer.merge`` rebases foreign events onto one monotonic timeline;
+* trace merge — ``Tracer.merge`` rebases foreign events onto one
+  monotonic timeline;
 * exception safety — spans unwound by exceptions finish with an
   ``error`` attr, hand-abandoned spans still appear in snapshots and
   rollups (flagged ``unfinished``) instead of vanishing;
 * progress — heartbeats rate-limit against an injectable clock, JSON
   mode emits one valid object per line, disabled reporters are silent;
-* end to end — multi-worker ingest and the partitioned closure produce
-  merged counters equal to their single-source runs, and the CLI's
-  ``--progress-json`` / ``--trace-out`` / ``metrics`` surface works.
+* end to end — ingest counts what it read, the loader and fixpoint
+  loops report heartbeats, and the CLI's ``--progress-json`` /
+  ``--trace-out`` / ``metrics`` surface works.
 """
 
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main
@@ -58,97 +53,7 @@ def _ontology_lines(n: int):
 
 
 # ----------------------------------------------------------------------
-# The snapshot-merge protocol (registry side)
-# ----------------------------------------------------------------------
-
-_NAMES = st.sampled_from(["a", "b.x", "b.y", "c"])
-_EVENTS = st.lists(
-    st.tuples(_NAMES, st.integers(min_value=1, max_value=50)), max_size=60
-)
-
-
-class TestRegistryMerge:
-    @given(events=_EVENTS, parts=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_of_n_partitions_equals_single_registry(
-        self, events, parts
-    ):
-        """The loss-free guarantee: however increments are scattered
-        over N worker registries, merging their snapshots reproduces
-        the single-process counters exactly."""
-        single = MetricsRegistry()
-        workers = [MetricsRegistry() for _ in range(parts)]
-        for i, (name, amount) in enumerate(events):
-            single.inc(name, amount)
-            workers[i % parts].inc(name, amount)
-        merged = MetricsRegistry()
-        for w in workers:
-            merged.merge(w.snapshot())
-        assert merged.counters() == single.counters()
-
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=20000.0), max_size=40
-        ),
-        parts=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_histogram_merge_is_loss_free(self, values, parts):
-        single = MetricsRegistry()
-        workers = [MetricsRegistry() for _ in range(parts)]
-        for i, v in enumerate(values):
-            single.observe("h", v)
-            workers[i % parts].observe("h", v)
-        merged = MetricsRegistry()
-        for w in workers:
-            merged.merge(w.snapshot())
-        if not values:
-            assert merged.histogram("h") is None
-            return
-        got = merged.histogram("h").to_dict()
-        want = single.histogram("h").to_dict()
-        # Sums accumulate in a different order; compare with tolerance.
-        assert got["buckets"] == want["buckets"]
-        assert got["count"] == want["count"]
-        assert got["min"] == want["min"] and got["max"] == want["max"]
-        assert got["sum"] == pytest.approx(want["sum"], abs=1e-3)
-
-    def test_mismatched_bucket_bounds_raise(self):
-        ours = Histogram()
-        theirs = Histogram(buckets=(1.0, 2.0))
-        theirs.observe(1.5)
-        with pytest.raises(ValueError):
-            ours.merge_dict(theirs.to_dict())
-
-    def test_prefix_keeps_sources_distinct(self):
-        parent = MetricsRegistry()
-        parent.inc("rounds", 10)
-        w = MetricsRegistry()
-        w.inc("rounds", 3)
-        w.set_gauge("rss", 42)
-        parent.merge(w.snapshot(), prefix="shard.1.")
-        assert parent.counter("rounds") == 10
-        assert parent.counter("shard.1.rounds") == 3
-        assert parent.gauges()["shard.1.rss"] == 42
-
-    def test_gauges_take_incoming_value(self):
-        parent = MetricsRegistry()
-        parent.set_gauge("g", 1)
-        w = MetricsRegistry()
-        w.set_gauge("g", 2)
-        parent.merge(w.snapshot())
-        assert parent.gauges()["g"] == 2
-
-    def test_disabled_registry_ignores_merge(self):
-        parent = MetricsRegistry.disabled()
-        w = MetricsRegistry()
-        w.inc("a", 5)
-        parent.merge(w.snapshot())
-        assert len(parent) == 0
-
-
-# ----------------------------------------------------------------------
-# The snapshot-merge protocol (tracer side)
+# Trace merge
 # ----------------------------------------------------------------------
 
 
@@ -317,66 +222,21 @@ class TestProgressReporter:
 
 
 # ----------------------------------------------------------------------
-# End to end: multi-worker ingest and partitioned closure
+# End to end: ingest and fixpoint loops
 # ----------------------------------------------------------------------
 
 
-class TestCrossProcessAggregation:
-    def test_worker_merge_equals_single_process(self):
-        """Acceptance criterion (a): merged N-worker ingest counters
-        equal the 1-worker totals over the same input."""
+class TestPipelineTelemetry:
+    def test_serial_ingest_counters(self):
         lines = _ontology_lines(1200)
-        baselines = {}
-        for workers in (1, 2, 4):
-            with obs.instrumentation() as (registry, _tracer):
-                result = load_ntriples(
-                    lines, workers=workers, chunk_lines=200
-                )
-            baselines[workers] = {
-                name: value
-                for name, value in registry.counters("ingest.").items()
-                if name != "ingest.worker_snapshots"
-            }
-            hist = registry.histogram("ingest.chunk_parse_ms")
-            assert hist is not None and hist.count == 6
-            assert result.triples > 0
-        assert baselines[2] == baselines[1]
-        assert baselines[4] == baselines[1]
-
-    def test_parallel_load_merges_worker_traces(self):
-        lines = _ontology_lines(800)
         with obs.instrumentation() as (registry, tracer):
-            load_ntriples(lines, workers=2, chunk_lines=200)
-        assert registry.counter("ingest.worker_snapshots") == 4
-        chunk_spans = [
-            e for e in tracer.snapshot() if e["name"] == "ingest.chunk"
-        ]
-        assert len(chunk_spans) == 4
-        assert all("track" in e["attrs"] for e in chunk_spans)
-
-    def test_partitioned_closure_reports_per_shard_series(self):
-        from repro.core.graph import RDFGraph
-        from repro.core.terms import Triple, URI
-        from repro.core.vocabulary import SC, TYPE
-        from repro.semantics.closure import rdfs_closure_partitioned
-
-        graph = RDFGraph(
-            [
-                Triple(URI(f"http://c{i}"), SC, URI(f"http://c{i + 1}"))
-                for i in range(15)
-            ]
-            + [Triple(URI("http://x"), TYPE, URI("http://c0"))]
-        )
-        with obs.instrumentation() as (registry, _tracer):
-            rdfs_closure_partitioned(graph, shards=3)
-        per_shard = registry.counters("closure.partitioned.shard.")
-        assert {
-            f"closure.partitioned.shard.{i}.rounds" for i in range(3)
-        } <= set(per_shard)
-        total_derived = sum(
-            v for k, v in per_shard.items() if k.endswith(".derived_rows")
-        )
-        assert total_derived > 0
+            result = load_ntriples(lines, chunk_lines=200)
+        assert registry.counter("ingest.lines") == 1200
+        assert registry.counter("ingest.chunks") == 6
+        assert registry.counter("ingest.skipped_lines") == 0
+        assert registry.counter("ingest.rows") == result.triples > 0
+        assert registry.histogram("ingest.chunk_parse_ms").count == 6
+        assert [e["name"] for e in tracer.snapshot()] == ["ingest.load"]
 
     def test_loader_heartbeats_fire_per_chunk(self):
         lines = _ontology_lines(600)
@@ -520,13 +380,9 @@ class TestCli:
             [
                 "load",
                 str(data),
-                "--parallel",
-                "2",
                 "--chunk-lines",
                 "100",
                 "--close",
-                "--shards",
-                "2",
                 "--progress-json",
                 "--trace-out",
                 str(trace_path),
@@ -538,17 +394,14 @@ class TestCli:
         stderr = capsys.readouterr().err
         heartbeats = [json.loads(line) for line in stderr.splitlines()]
         assert heartbeats, "expected at least one heartbeat line"
-        assert {p["stage"] for p in heartbeats} >= {
-            "ingest",
-            "closure.partitioned",
-        }
+        assert {p["stage"] for p in heartbeats} >= {"ingest", "closure"}
         doc = json.loads(trace_path.read_text())
         assert doc["traceEvents"]
         span_names = {
             e["name"] for e in doc["traceEvents"] if e["ph"] == "X"
         }
         assert "ingest.load" in span_names
-        assert "closure.partitioned" in span_names
+        assert "closure.fixpoint" in span_names
 
     def test_metrics_subcommand_roundtrip(self, tmp_path):
         data = tmp_path / "g.nt"
