@@ -99,8 +99,12 @@ class TestRowsFixpoint:
         assert set(_close_rows(g)) == set(rdfs_closure_by_rules(g))
 
     def test_rows_entrypoint_matches_graph_entrypoint(self):
-        g = synthetic_ontology_graph(2000)
+        g = synthetic_ontology_graph(600)
         assert _close_rows(g) == rdfs_closure_arrays(g)
+
+    def test_synthetic_ontology_rows_fixpoint(self):
+        g = synthetic_ontology_graph(2000)
+        assert set(_close_rows(g)) == set(rdfs_closure_by_rules(g))
 
     def test_variables_raise_type_error(self):
         from repro.core.terms import Variable
